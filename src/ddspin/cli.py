@@ -79,7 +79,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "kv"), default=None,
                         help="output style where both apply")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for point-parallel work")
+                        help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> _Parser:
@@ -130,6 +130,8 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run a simulated measurement record")
     p_sim.add_argument("--config", required=True, help="run configuration file")
     _add_common(p_sim)
+    # Unset means "keep the config's master_seed", so an explicit 0 overrides.
+    p_sim.set_defaults(seed=None)
 
     p_fit = sub.add_parser("fit", help="harmonic amplitudes and coefficient bound")
     p_fit.add_argument("--record", required=True,
@@ -265,10 +267,10 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    if args.seed:
+    if args.seed is not None:
         from dataclasses import replace
         cfg = replace(cfg, master_seed=args.seed)
-    record = run_experiment(cfg, threads=max(1, args.threads))
+    record = run_experiment(cfg)
     with _open_out(args.out) as out:
         write_record(out, record, extra_header=["command = simulate"])
     return 0

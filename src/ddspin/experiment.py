@@ -7,20 +7,19 @@ and assembles a record that the harmonic fitter consumes.
 
 Seeding is counter-based: the stream for trial i of point k derives from
 (master_seed, k, i) through numpy SeedSequence spawn keys, so runs are
-reproducible bit for bit regardless of execution order or thread count.
+reproducible bit for bit regardless of execution order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO, Iterable
 
 import numpy as np
 
 from ddspin.noise import NoiseModel, TimeGrid, decay_survival, delta_trace
-from ddspin.sensitivity import DERIVATIVE_STEP, FringeFunction
+from ddspin.sensitivity import FringeFunction, find_root
 from ddspin.sequence import (
     SequenceConfig,
     dd_sequence_schedule,
@@ -89,6 +88,7 @@ class FringeCalibration:
 
     chi_nominal = kappa_static * T; (chi_lo, chi_hi) bracket the adjacent
     slope zeros, so F is monotone on the branch and locally invertible.
+    [p_min, p_max] is the population range F takes on the branch.
     """
 
     fringe: FringeFunction
@@ -96,57 +96,50 @@ class FringeCalibration:
     chi_nominal: float
     chi_lo: float
     chi_hi: float
+    p_min: float
+    p_max: float
 
     @property
     def branch_width(self) -> float:
         return self.chi_hi - self.chi_lo
 
 
-def _slope_zero(fringe: FringeFunction, lo: float, hi: float) -> float:
-    """Bisect a sign change of dF/dchi inside [lo, hi]."""
-    s_lo = fringe.slope(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s_mid = fringe.slope(mid)
-        if s_lo * s_mid <= 0:
-            hi = mid
-        else:
-            lo, s_lo = mid, s_mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
-
-
 def calibrate(sequence: SequenceConfig) -> FringeCalibration:
-    """Locate the monotone branch containing the nominal working point."""
+    """Locate the monotone branch containing the nominal working point.
+
+    A 2001-point slope scan over one period centred on the nominal point
+    finds the nearest grid interval on each side where the slope leaves
+    the branch sign; the branch end is the slope zero inside it.  A side
+    without one ends at the scan edge.
+    """
     fringe = FringeFunction(sequence.sys, sequence.initial_twice_m, sequence.phi)
     chi_nom = sequence.kappa * sequence.total_time
-    if abs(fringe.slope(chi_nom)) < 1e-8:
+    if abs(fringe(chi_nom, 1)[1]) < 1e-8:
         raise ValueError(
             "insensitive working point: the fringe is stationary at "
             f"chi = {chi_nom:.6g}; shift kappa or T before calibrating")
     span = fringe.period / 2.0
     grid = np.linspace(chi_nom - span, chi_nom + span, 2001)
-    slopes = fringe.slope(grid)
-    center = np.searchsorted(grid, chi_nom)
-    sign = math.copysign(1.0, slopes[min(center, len(grid) - 1)])
+    slopes = fringe(grid, 1)[1]
+    center = min(int(np.searchsorted(grid, chi_nom)), len(grid) - 1)
+    off_branch = slopes * math.copysign(1.0, slopes[center]) <= 0
+    left = np.flatnonzero(off_branch[:center])
+    right = center + 1 + np.flatnonzero(off_branch[center + 1:])
 
-    k = min(center, len(grid) - 1)
-    while k > 0 and slopes[k - 1] * sign > 0:
-        k -= 1
-    chi_lo = _slope_zero(fringe, grid[max(k - 1, 0)], grid[k]) if k > 0 \
-        else grid[0]
-    k = min(center, len(grid) - 1)
-    while k < len(grid) - 1 and slopes[k + 1] * sign > 0:
-        k += 1
-    chi_hi = _slope_zero(fringe, grid[k], grid[min(k + 1, len(grid) - 1)]) \
-        if k < len(grid) - 1 else grid[-1]
+    def slope_zero(k: int) -> float:
+        return float(find_root(lambda chi: fringe(chi, 2)[1:], grid[k], grid[k + 1]))
+
+    chi_lo = slope_zero(left[-1]) if left.size else float(grid[0])
+    chi_hi = slope_zero(right[0] - 1) if right.size else float(grid[-1])
+    f_lo, f_hi = fringe(chi_lo), fringe(chi_hi)
     return FringeCalibration(
         fringe=fringe,
         total_time=sequence.total_time,
         chi_nominal=chi_nom,
-        chi_lo=float(chi_lo),
-        chi_hi=float(chi_hi),
+        chi_lo=chi_lo,
+        chi_hi=chi_hi,
+        p_min=min(f_lo, f_hi),
+        p_max=max(f_lo, f_hi),
     )
 
 
@@ -205,45 +198,41 @@ def simulate_point(cfg: RunConfig, t: float, seed) -> tuple[int, int]:
     return successes, trials
 
 
+def _invert(successes: np.ndarray, trials: np.ndarray,
+            calibration: FringeCalibration) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa_hat, sigma) for in-branch counts, elementwise: one root
+    search of F(chi) = p_hat over the branch for all points."""
+    p_hat = successes / trials
+    fringe = calibration.fringe
+
+    def residual(chi):
+        f, slope = fringe(chi, 1)
+        return f - p_hat, slope
+
+    chi_hat = find_root(residual, np.full(np.shape(p_hat), calibration.chi_lo),
+                        calibration.chi_hi)
+    slope = np.abs(fringe(chi_hat, 1)[1])
+    sigma = np.sqrt(p_hat * (1.0 - p_hat) / trials) / (calibration.total_time * slope)
+    return chi_hat / calibration.total_time, sigma
+
+
 def estimate_kappa(successes: int, trials: int,
                    calibration: FringeCalibration) -> tuple[float, float]:
     """Invert the calibrated fringe branch at p_hat = successes/trials.
 
     Returns (kappa_hat, sigma) with sigma from the delta method,
-    sqrt(p(1-p)/trials) / (T |dF/dchi|).  Raises FringeWrapError when
-    p_hat falls outside the branch range.
+    sqrt(p(1-p)/trials) / (T |dF/dchi|).  Raises FringeWrapError unless
+    p_hat lies strictly inside the branch range: at a branch end
+    dF/dchi = 0, so an estimate there carries no information.
     """
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p_hat = successes / trials
-    fringe = calibration.fringe
-    lo, hi = calibration.chi_lo, calibration.chi_hi
-    f_lo, f_hi = fringe(lo), fringe(hi)
-    p_min, p_max = min(f_lo, f_hi), max(f_lo, f_hi)
-    if not p_min <= p_hat <= p_max:
+    if not calibration.p_min < p_hat < calibration.p_max:
         raise FringeWrapError(
-            f"population {p_hat:.6g} is outside the calibrated branch "
-            f"range [{p_min:.6g}, {p_max:.6g}]")
-
-    increasing = f_hi >= f_lo
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if (fringe(mid) < p_hat) == increasing:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-12:
-            break
-    chi_hat = 0.5 * (a + b)
-    kappa_hat = chi_hat / calibration.total_time
-
-    slope = abs(fringe.slope(chi_hat, DERIVATIVE_STEP))
-    variance = p_hat * (1.0 - p_hat)
-    if variance == 0.0:
-        # Laplace floor keeps the weight finite at an all-or-nothing draw.
-        variance = (trials + 1) / (trials + 2) ** 2
-    sigma = math.sqrt(variance / trials) / (calibration.total_time * slope)
+            f"population {p_hat:.6g} is outside the open calibrated branch "
+            f"range ({calibration.p_min:.6g}, {calibration.p_max:.6g})")
+    kappa_hat, sigma = _invert(successes, trials, calibration)
     return float(kappa_hat), float(sigma)
 
 
@@ -270,38 +259,27 @@ class MeasurementRecord:
         return self.times[keep], self.kappa_hat[keep], self.sigma[keep]
 
 
-def run_experiment(cfg: RunConfig, threads: int = 1) -> MeasurementRecord:
-    """Simulate and estimate every scheduled point.
-
-    Per-point seeds are (master_seed, point_index), so the record is
-    identical for any thread count.
-    """
+def run_experiment(cfg: RunConfig) -> MeasurementRecord:
+    """Simulate every scheduled point, then invert all in-branch points
+    together.  Per-point seeds are (master_seed, point_index)."""
     calibration = calibrate(cfg.sequence)
-
-    def one_point(k: int):
-        t = cfg.timestamps[k]
-        successes, trials = simulate_point(cfg, t, (cfg.master_seed, k))
-        try:
-            kappa_hat, sigma = estimate_kappa(successes, trials, calibration)
-            return successes, trials, kappa_hat, sigma, False
-        except FringeWrapError:
-            return successes, trials, math.nan, math.nan, True
-
-    indices = range(len(cfg.timestamps))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_point, indices))
-    else:
-        rows = [one_point(k) for k in indices]
-
+    counts = np.array([simulate_point(cfg, t, (cfg.master_seed, k))
+                       for k, t in enumerate(cfg.timestamps)], dtype=int)
+    successes, trials = counts[:, 0], counts[:, 1]
+    p_hat = successes / trials
+    wrapped = (p_hat <= calibration.p_min) | (p_hat >= calibration.p_max)
+    kappa_hat = np.full(len(counts), math.nan)
+    sigma = np.full(len(counts), math.nan)
+    kappa_hat[~wrapped], sigma[~wrapped] = _invert(
+        successes[~wrapped], trials[~wrapped], calibration)
     return MeasurementRecord(
         times=np.array(cfg.timestamps),
-        successes=np.array([r[0] for r in rows], dtype=int),
-        trials=np.array([r[1] for r in rows], dtype=int),
-        chi_nominal=np.full(len(rows), calibration.chi_nominal),
-        kappa_hat=np.array([r[2] for r in rows]),
-        sigma=np.array([r[3] for r in rows]),
-        wrapped=np.array([r[4] for r in rows], dtype=bool),
+        successes=successes,
+        trials=trials,
+        chi_nominal=np.full(len(counts), calibration.chi_nominal),
+        kappa_hat=kappa_hat,
+        sigma=sigma,
+        wrapped=wrapped,
         config=cfg,
     )
 

@@ -12,9 +12,9 @@ setup.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -110,60 +110,51 @@ class NoiseModel:
                 and self.dc_offset == 0.0)
 
 
-def mains_harmonics(amplitudes_rad_s, base_hz: float = 50.0,
-                    phases=None) -> tuple[tuple[float, float, float], ...]:
-    """Harmonic triples at multiples of the mains frequency (50 Hz default)."""
-    amplitudes = list(amplitudes_rad_s)
-    if phases is None:
-        phases = [0.0] * len(amplitudes)
-    return tuple((base_hz * (k + 1), float(a), float(p))
-                 for k, (a, p) in enumerate(zip(amplitudes, phases)))
-
-
-def sample_ou_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
-    """Stationary OU drift around dc_offset, by exact discretization:
+def _ou_drift(model: NoiseModel, grid: TimeGrid, rng) -> np.ndarray:
+    """Zero-mean stationary OU drift by exact discretization:
 
         x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k
 
-    with x_0 ~ N(0, sigma^2).  Identical (seed, grid, model) always gives
-    the identical trace.
+    with x_0 ~ N(0, sigma^2), drawn from rng in that order.
     """
-    rng = np.random.default_rng(seed)
     rho = math.exp(-grid.dt / model.ou_tau_c)
     noise_scale = model.ou_sigma * math.sqrt(1.0 - rho * rho)
-    x = np.empty(grid.count)
-    x[0] = model.ou_sigma * rng.standard_normal()
-    if grid.count > 1:
-        xi = rng.standard_normal(grid.count - 1)
-        for k in range(grid.count - 1):
-            x[k + 1] = x[k] * rho + noise_scale * xi[k]
-    return NoiseTrace(grid, x + model.dc_offset, descriptor="ou", seed=seed)
+    x0 = model.ou_sigma * float(rng.standard_normal())
+    kicks = rng.standard_normal(grid.count - 1)
+    drift = itertools.accumulate(kicks, lambda x, xi: x * rho + noise_scale * xi,
+                                 initial=x0)
+    return np.fromiter(drift, dtype=float, count=grid.count)
+
+
+def _add_mains(delta: np.ndarray, model: NoiseModel, grid: TimeGrid) -> None:
+    """Add the mains pickup sum of a*sin(2 pi f t + p) to delta in place."""
+    t = grid.times()
+    for freq, amp, phase in model.line_harmonics:
+        delta += amp * np.sin(2.0 * math.pi * freq * t + phase)
+
+
+def sample_ou_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
+    """Stationary OU drift around dc_offset (see _ou_drift).  Identical
+    (seed, grid, model) always gives the identical trace."""
+    drift = _ou_drift(model, grid, np.random.default_rng(seed))
+    return NoiseTrace(grid, drift + model.dc_offset, descriptor="ou", seed=seed)
 
 
 def ac_line_trace(model: NoiseModel, grid: TimeGrid) -> NoiseTrace:
     """Deterministic mains pickup: dc_offset + sum of a*sin(2 pi f t + p)."""
-    t = grid.times()
     delta = np.full(grid.count, model.dc_offset)
-    for freq, amp, phase in model.line_harmonics:
-        delta += amp * np.sin(2.0 * math.pi * freq * t + phase)
+    _add_mains(delta, model, grid)
     return NoiseTrace(grid, delta, descriptor="line")
 
 
 def delta_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
     """Full detuning trace: zero-mean OU drift + mains + one dc_offset."""
-    rng = np.random.default_rng(seed)
-    rho = math.exp(-grid.dt / model.ou_tau_c)
-    noise_scale = model.ou_sigma * math.sqrt(1.0 - rho * rho)
-    x = np.zeros(grid.count)
     if model.ou_sigma > 0:
-        x[0] = model.ou_sigma * rng.standard_normal()
-        xi = rng.standard_normal(grid.count - 1)
-        for k in range(grid.count - 1):
-            x[k + 1] = x[k] * rho + noise_scale * xi[k]
-    t = grid.times()
-    for freq, amp, phase in model.line_harmonics:
-        x += amp * np.sin(2.0 * math.pi * freq * t + phase)
-    return NoiseTrace(grid, x + model.dc_offset, descriptor="ou+line", seed=seed)
+        delta = _ou_drift(model, grid, np.random.default_rng(seed))
+    else:
+        delta = np.zeros(grid.count)
+    _add_mains(delta, model, grid)
+    return NoiseTrace(grid, delta + model.dc_offset, descriptor="ou+line", seed=seed)
 
 
 def decay_survival(t: float, lifetime: float) -> float:
@@ -173,52 +164,3 @@ def decay_survival(t: float, lifetime: float) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     return math.exp(-t / lifetime)
-
-
-@dataclass(frozen=True)
-class StaticKappaBudget:
-    """Static contributions to the quadratic shift coefficient, rad/s.
-
-    The quadrupole and second-order Zeeman parts are tuning knobs that
-    place the working point; the tensor term is the signal."""
-
-    quadrupole: float = 0.0
-    second_order_zeeman: float = 0.0
-    tensor_term: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.quadrupole + self.second_order_zeeman + self.tensor_term
-
-
-def static_kappa(budget: StaticKappaBudget) -> float:
-    return budget.total
-
-
-def write_trace(out: IO[str], trace: NoiseTrace) -> None:
-    """Two-column export: t_s, delta_rad_per_s."""
-    if trace.descriptor:
-        out.write(f"# descriptor = {trace.descriptor}\n")
-    out.write("t_s,delta_rad_per_s\n")
-    for t, d in zip(trace.grid.times(), trace.samples):
-        out.write(f"{t:.17g},{d:.17g}\n")
-
-
-def read_trace(path) -> NoiseTrace:
-    times = []
-    values = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("t_s"):
-                continue
-            t_text, d_text = line.split(",")
-            times.append(float(t_text))
-            values.append(float(d_text))
-    if len(times) < 2:
-        raise ValueError("trace file must contain at least two samples")
-    dt = times[1] - times[0]
-    grid = TimeGrid(times[0], dt, len(times))
-    if not np.allclose(grid.times(), times, rtol=0, atol=1e-9 * abs(dt)):
-        raise ValueError("trace file must be uniformly sampled")
-    return NoiseTrace(grid, np.array(values))

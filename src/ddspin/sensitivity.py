@@ -10,6 +10,8 @@ C = delta_kappa at N = tau = T = 1, so delta_kappa = C / sqrt(N tau T).
 
 The sensitivity analysis uses the phi = pi fringe line (where the fringe
 starts at its maximum); the engine supports any final-pulse phase.
+FringeFunction is the package's one fringe kernel and find_root its one
+root finder.
 """
 
 from __future__ import annotations
@@ -21,20 +23,28 @@ from typing import IO, Callable
 
 import numpy as np
 
-from ddspin.sequence import fringe_period
-from ddspin.spin_algebra import IonSpecies, SpinSystem, tensor_kappa, rotation
+from ddspin.spin_algebra import SpinSystem, rotation
 
-# Central-difference step for fringe slopes.  Fringes are trigonometric
-# polynomials, so truncation at this step is ~1e-9.
-DERIVATIVE_STEP = 1e-6
+
+def fringe_period(sys: SpinSystem) -> float:
+    """Period of the fringes in kappa*T: pi for half-integer J (m^2 mod 2
+    is uniform across the multiplet, a global phase), 2*pi for integer J."""
+    return math.pi if sys.twice_j % 2 else 2.0 * math.pi
 
 
 class FringeFunction:
-    """Callable F(chi) = P(chi, phi) for one (J, m, phi), precomputed.
+    """The fringe F(chi) = P(chi, phi) for one (J, m, phi), with its
+    analytic chi-derivatives.
 
-    Evaluates |sum_m' a_m' exp(i chi m'^2)|^2 from the amplitude products
-    of the two pi/2 rotations; accepts scalars or arrays.  Agrees with
-    fringe_probability to machine precision.
+    F = |S|^2 with S(chi) = sum_k a_k exp(i chi q_k), where the q_k are the
+    distinct values of m'^2 and a_k sums the amplitude products
+    <m|R(phi, pi/2)|m'><m'|R(0, pi/2)|m> over m' = +-sqrt(q_k).  With S^(j)
+    the j-th chi-derivative of S,
+
+        F' = 2 Re(conj(S) S'),   F'' = 2 (|S'|^2 + Re(conj(S) S'')),
+        F''' = 2 (3 Re(conj(S') S'') + Re(conj(S) S''')).
+
+    Scalars and arrays of chi give the same value bit for bit.
     """
 
     def __init__(self, sys: SpinSystem, twice_m: int, phi: float):
@@ -44,18 +54,71 @@ class FringeFunction:
         i = sys.index_of(twice_m)
         r_init = rotation(sys, 0.0, math.pi / 2.0).matrix
         r_final = rotation(sys, self.phi, math.pi / 2.0).matrix
-        self._amps = r_final[i, :] * r_init[:, i]
-        self._msq = sys.m_values ** 2
+        self._msq, slot = np.unique(sys.m_values ** 2, return_inverse=True)
+        amps = np.zeros(self._msq.size, dtype=complex)
+        np.add.at(amps, slot, r_final[i, :] * r_init[:, i])
+        # Row j holds the coefficients of S^(j).
+        self._coeffs = amps * (1j * self._msq) ** np.arange(4)[:, None]
         self.period = fringe_period(sys)
 
-    def __call__(self, chi):
+    def __call__(self, chi, order: int = 0):
+        """F(chi) for order 0; the tuple (F, F', ..., F^(order)) for
+        order 1 to 3.  A scalar chi gives floats, an array gives arrays
+        of its shape."""
         chi_arr = np.asarray(chi, dtype=float)
         phases = np.exp(1j * np.multiply.outer(chi_arr, self._msq))
-        values = np.minimum(1.0, np.abs(phases @ self._amps) ** 2)
-        return float(values) if np.isscalar(chi) or chi_arr.ndim == 0 else values
+        s = np.moveaxis(
+            np.sum(phases[..., None, :] * self._coeffs[:order + 1], axis=-1), -1, 0)
 
-    def slope(self, chi, h: float = DERIVATIVE_STEP):
-        return (self(chi + h) - self(chi - h)) / (2.0 * h)
+        def re_dot(j, k):
+            # Re(conj(S^(j)) S^(k)) in real arithmetic: numpy's complex
+            # array loops may fuse multiply-adds, so scalar and array
+            # results could otherwise differ in the last bit.
+            return s[j].real * s[k].real + s[j].imag * s[k].imag
+
+        # |S|^2 <= 1 exactly; clamp the last-bit float excess.
+        values = [np.minimum(1.0, re_dot(0, 0))]
+        if order >= 1:
+            values.append(2.0 * re_dot(0, 1))
+        if order >= 2:
+            values.append(2.0 * (re_dot(1, 1) + re_dot(0, 2)))
+        if order >= 3:
+            values.append(2.0 * (3.0 * re_dot(1, 2) + re_dot(0, 3)))
+        if chi_arr.ndim == 0:
+            values = [float(v) for v in values]
+        return values[0] if order == 0 else tuple(values)
+
+
+def find_root(func: Callable, lo, hi):
+    """Roots of g on the brackets [lo, hi], elementwise over arrays.
+
+    func(x) returns (g(x), g'(x)); g must change sign (or vanish) on each
+    bracket.  Each element starts at its bracket midpoint and takes Newton
+    steps, falling back to bisection when a step would leave the bracket;
+    the bracket shrinks around the sign change after every evaluation.
+    An element stops when g is exactly 0 or its step is at most 1e-13;
+    the search ends when all have stopped, or after 100 steps.  Returns
+    an array of the brackets' broadcast shape.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    sign_lo = np.sign(func(lo)[0])
+    done = sign_lo == 0
+    x = np.where(done, lo, 0.5 * (lo + hi))
+    for _ in range(100):
+        g, slope = func(x)
+        on_lo_side = np.sign(g) == sign_lo
+        lo = np.where(on_lo_side, x, lo)
+        hi = np.where(on_lo_side, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - g / slope
+        x_next = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        stop = done | (g == 0)
+        done = stop | (np.abs(x_next - x) <= 1e-13)
+        x = np.where(stop, x, x_next)
+        if np.all(done):
+            break
+    return x
 
 
 @dataclass(frozen=True)
@@ -80,96 +143,63 @@ class SensitivityReport:
             raise ValueError("delta_kappa_coeff must be > 0")
 
 
-def delta_kappa(fringe: Callable[[float], float], chi: float,
-                n_probes: int, tau: float, total_time: float,
-                h: float = DERIVATIVE_STEP) -> float:
-    """Projection-noise-limited shift resolution at working point chi.
+def delta_kappa(f: float, slope: float, n_probes: int, tau: float,
+                total_time: float) -> float:
+    """Projection-noise-limited shift resolution at a fringe point with
+    value f = F(chi) and slope = dF/dchi.
 
     Raises if the fringe carries no projection-noise information there
     (F at 0 or 1) or if the slope vanishes.
     """
-    f0 = float(fringe(chi))
-    if not 0.0 < f0 < 1.0:
+    if not 0.0 < f < 1.0:
         raise ValueError("no projection noise information: F(chi) is 0 or 1")
-    slope = (float(fringe(chi + h)) - float(fringe(chi - h))) / (2.0 * h)
     if abs(slope) < 1e-8:
         raise ValueError("insensitive working point: dF/dchi vanishes")
     n_repeats = tau / total_time
-    if n_probes * n_repeats * f0 * (1.0 - f0) < 10.0:
+    if n_probes * n_repeats * f * (1.0 - f) < 10.0:
         warnings.warn("variance of the summed outcomes is small; the Gaussian "
                       "projection-noise model is marginal here", stacklevel=2)
-    return math.sqrt(f0 * (1.0 - f0)) / (math.sqrt(n_probes * tau * total_time)
-                                         * abs(slope))
-
-
-def _golden_max(func: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-12) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = func(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = func(x1)
-    return 0.5 * (a + b)
+    return math.sqrt(f * (1.0 - f)) / (math.sqrt(n_probes * tau * total_time)
+                                       * abs(slope))
 
 
 def optimal_working_point(sys: SpinSystem, twice_m: int,
                           phi: float) -> SensitivityReport:
     """Locate the steepest point of the fringe F(chi) = P(chi, phi).
 
-    Dense 2001-point scan over one period, then golden-section refinement
-    of every near-maximal local peak of |dF/dchi|.  The fringe is mirror
-    symmetric for these sequences, so the maximum slope is attained twice
-    per period; the smallest such chi is returned.
+    Dense 2001-point scan of |dF/dchi| over one period; every near-maximal
+    local peak is refined to the root of d2F/dchi2 within one grid spacing.
+    The fringe is mirror symmetric for these sequences, so the maximum
+    slope is attained twice per period; the smallest such chi is returned.
     """
     fringe = FringeFunction(sys, twice_m, phi)
     period = fringe.period
     chis = np.linspace(0.0, period, 2001)
-    slopes = np.abs(fringe.slope(chis))
-    grid_max = float(np.max(slopes))
+    slopes = np.abs(fringe(chis, 1)[1])
     spacing = period / 2000.0
-
-    candidates = []
-    for k in range(len(chis)):
-        left = slopes[k - 1] if k > 0 else -np.inf
-        right = slopes[k + 1] if k < len(chis) - 1 else -np.inf
-        if slopes[k] >= left and slopes[k] >= right \
-                and slopes[k] >= grid_max * (1.0 - 1e-6):
-            lo = max(0.0, chis[k] - spacing)
-            hi = min(period, chis[k] + spacing)
-            chi_ref = _golden_max(lambda c: abs(fringe.slope(c)), lo, hi)
-            candidates.append((chi_ref, abs(fringe.slope(chi_ref))))
-    best_value = max(v for _, v in candidates)
-    chi_m = min(c for c, v in candidates if v >= best_value * (1.0 - 1e-9))
+    padded = np.pad(slopes, 1, constant_values=-np.inf)
+    peaks = chis[(slopes >= padded[:-2]) & (slopes >= padded[2:])
+                 & (slopes >= np.max(slopes) * (1.0 - 1e-6))]
+    steepest = find_root(lambda chi: fringe(chi, 3)[2:],
+                         np.maximum(0.0, peaks - spacing),
+                         np.minimum(period, peaks + spacing))
+    peak_slopes = np.abs(fringe(steepest, 1)[1])
+    chi_m = float(np.min(steepest[peak_slopes >= np.max(peak_slopes) * (1.0 - 1e-9)]))
+    f, slope = fringe(chi_m, 1)
     with warnings.catch_warnings():
         # The unit-normalized coefficient is a scale factor, not a
         # prediction, so the small-variance guard does not apply.
         warnings.simplefilter("ignore")
-        coeff = delta_kappa(fringe, chi_m, 1, 1.0, 1.0)
+        coeff = delta_kappa(f, slope, 1, 1.0, 1.0)
     return SensitivityReport(
         twice_m=twice_m,
         phi=float(phi),
-        chi_m=float(chi_m),
-        dF_dchi_max=float(abs(fringe.slope(chi_m))),
+        chi_m=chi_m,
+        dF_dchi_max=abs(slope),
         delta_kappa_coeff=float(coeff),
         scaling="1/sqrt(N*tau*T)",
         assumptions="unit contrast, no phase drift",
     )
-
-
-def entangled_fringe(n_ions: int) -> Callable[[float], float]:
-    """Parity fringe of the N-ion entangled comparison scheme,
-    F(chi) = (1 + sin(12 N chi)) / 2 for the (7/2, 1/2) level pair."""
-    def fringe(chi):
-        return 0.5 * (1.0 + np.sin(12.0 * n_ions * np.asarray(chi, dtype=float)))
-    return fringe
 
 
 def entangled_benchmark(n_ions: int) -> SensitivityReport:
@@ -191,35 +221,6 @@ def entangled_benchmark(n_ions: int) -> SensitivityReport:
         scaling="1/sqrt(tau*T)",
         assumptions=f"perfect Ramsey contrast, N={n_ions} ions read as one parity probe",
     )
-
-
-def tensor_bound_from_kappa(delta_kappa_value: float, species: IonSpecies) -> float:
-    """Convert a shift resolution (rad/s) into a bound on the tensor
-    coefficient via the species' per-unit kappa."""
-    return delta_kappa_value / tensor_kappa(species, 1.0)
-
-
-def contrast_degradation_sweep(sys: SpinSystem, twice_m: int, phi: float,
-                               contrasts) -> list[tuple[float, float, float]]:
-    """Diagnostic: sensitivity coefficient at the ideal working point when
-    the fringe contrast is scaled toward the uniform baseline 1/(2J+1).
-
-    Returns (contrast, F(chi_m), coefficient) triples; the working point is
-    held at the unit-contrast chi_m.
-    """
-    report = optimal_working_point(sys, twice_m, phi)
-    fringe = FringeFunction(sys, twice_m, phi)
-    baseline = 1.0 / sys.dim
-    rows = []
-    for contrast in contrasts:
-        if not 0.0 < contrast <= 1.0:
-            raise ValueError("contrast must be in (0, 1]")
-        degraded = lambda chi, c=contrast: c * fringe(chi) + (1.0 - c) * baseline
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            coeff = delta_kappa(degraded, report.chi_m, 1, 1.0, 1.0)
-        rows.append((float(contrast), float(degraded(report.chi_m)), float(coeff)))
-    return rows
 
 
 def write_report(out: IO[str], report: SensitivityReport) -> None:

@@ -29,6 +29,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from ddspin.noise import NoiseTrace
+from ddspin.sensitivity import FringeFunction
 from ddspin.spin_algebra import (
     OperatorMatrix,
     SpinSystem,
@@ -117,22 +118,6 @@ class PulseSchedule:
         return sum(s.duration for s in self.segments)
 
 
-@dataclass(frozen=True)
-class LabFrameInfo:
-    """Lab-frame bookkeeping: linear Zeeman splitting and RF frequency.
-
-    Recorded for documentation and rotating-frame validity checks only;
-    it never enters the interaction-picture dynamics.
-    """
-
-    zeeman_splitting: float
-    rf_frequency: float
-
-    @property
-    def detuning(self) -> float:
-        return self.rf_frequency - self.zeeman_splitting
-
-
 def dd_block_segments(t_w: float, pulse_duration: float = 0.0
                       ) -> tuple[FreeEvolution | Pulse, ...]:
     """One decoupling block: [t_w][pi][2 t_w][pi, opposite phase][t_w].
@@ -191,39 +176,24 @@ def dd_block_unitary(cfg: SequenceConfig, delta: float) -> OperatorMatrix:
     return OperatorMatrix(u, unitary=True)
 
 
-def _total_unitary(sys: SpinSystem, kappa_t: float, phi: float) -> np.ndarray:
-    r_init = rotation(sys, 0.0, math.pi / 2.0).matrix
-    r_final = rotation(sys, phi, math.pi / 2.0).matrix
-    diag = _free_diag(sys, 0.0, kappa_t)
-    return r_final @ (diag[:, None] * r_init)
-
-
 def sequence_unitary(cfg: SequenceConfig) -> OperatorMatrix:
     """Closed form of the full sequence for constant-per-block detuning:
     the detuning phase cancels blockwise, leaving the two pi/2 pulses
     around exp(i kappa T Jz^2)."""
     if not cfg.instantaneous_pulses:
         raise ValueError("sequence_unitary is the instantaneous-pulse closed form")
-    return OperatorMatrix(
-        _total_unitary(cfg.sys, cfg.kappa * cfg.total_time, cfg.phi),
-        unitary=True,
-    )
+    sys = cfg.sys
+    r_init = rotation(sys, 0.0, math.pi / 2.0).matrix
+    r_final = rotation(sys, cfg.phi, math.pi / 2.0).matrix
+    diag = _free_diag(sys, 0.0, cfg.kappa * cfg.total_time)
+    return OperatorMatrix(r_final @ (diag[:, None] * r_init), unitary=True)
 
 
 def fringe_probability(sys: SpinSystem, twice_m: int, kappa_t: float,
                        phi: float) -> float:
     """Survival probability of |J, m> after the full sequence,
     P(kappa*T, phi) = |<J,m|U_total|J,m>|^2."""
-    i = sys.index_of(twice_m)
-    u = _total_unitary(sys, kappa_t, phi)
-    # |u_ii|^2 <= 1 exactly; clamp the last-bit float excess.
-    return min(1.0, float(abs(u[i, i]) ** 2))
-
-
-def fringe_period(sys: SpinSystem) -> float:
-    """Period of the fringes in kappa*T: pi for half-integer J (m^2 mod 2
-    is uniform across the multiplet, a global phase), 2*pi for integer J."""
-    return math.pi if sys.twice_j % 2 else 2.0 * math.pi
+    return FringeFunction(sys, twice_m, phi)(float(kappa_t))
 
 
 def fringe_grid(sys: SpinSystem, twice_m: int,
@@ -240,9 +210,8 @@ def fringe_grid(sys: SpinSystem, twice_m: int,
     if ph.size > 1 and not np.all(np.diff(ph) > 0):
         raise ValueError("phi_axis must be strictly increasing")
     grid = np.empty((kt.size, ph.size))
-    for i, x in enumerate(kt):
-        for k, p in enumerate(ph):
-            grid[i, k] = fringe_probability(sys, twice_m, float(x), float(p))
+    for k, p in enumerate(ph):
+        grid[:, k] = FringeFunction(sys, twice_m, float(p))(kt)
     return grid
 
 

@@ -194,7 +194,8 @@ def read_kappa_record(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Also accepts the six-column simulation record (taking columns
     t, kappa_hat, sigma).  '#' lines and a header row are skipped; rows
-    with a wrong field count raise with their line number.
+    with a wrong field count or a non-finite t, kappa or sigma raise with
+    their line number.
     """
     times, values, sigmas = [], [], []
     with open(path) as fh:
@@ -215,11 +216,15 @@ def read_kappa_record(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     "(t_unix_s, kappa_rad_per_s, sigma_rad_per_s) or a "
                     f"6-column simulation record, got {len(fields)}")
             try:
-                times.append(float(fields[t_idx]))
-                values.append(float(fields[k_idx]))
-                sigmas.append(float(fields[s_idx]))
+                row = [float(fields[i]) for i in (t_idx, k_idx, s_idx)]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(x) for x in row):
+                raise ValueError(f"{path}:{lineno}: non-finite value in "
+                                 "t, kappa or sigma")
+            times.append(row[0])
+            values.append(row[1])
+            sigmas.append(row[2])
     if not times:
         raise ValueError(f"{path}: no data rows")
     return np.array(times), np.array(values), np.array(sigmas)

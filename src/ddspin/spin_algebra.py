@@ -425,7 +425,7 @@ _SPECIES_COLUMNS = ("label", "n_electrons", "configuration", "twice_J",
                     "reduced_me_au")
 
 
-def parse_species_rows(lines: Iterable[str], source: str = "<species>") -> list[IonSpecies]:
+def _parse_species_rows(lines: Iterable[str], source: str = "<species>") -> list[IonSpecies]:
     species = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -458,10 +458,10 @@ def load_species_file(path: str | Path) -> list[IonSpecies]:
     """
     path = Path(path)
     with path.open() as fh:
-        return parse_species_rows(fh, source=str(path))
+        return _parse_species_rows(fh, source=str(path))
 
 
 def default_species_table() -> list[IonSpecies]:
     """The species table shipped with the package."""
     text = resources.files("ddspin").joinpath("data/species_table.csv").read_text()
-    return parse_species_rows(text.splitlines(), source="species_table.csv")
+    return _parse_species_rows(text.splitlines(), source="species_table.csv")

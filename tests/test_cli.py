@@ -140,6 +140,33 @@ def test_simulate_round_trip_and_determinism(tmp_path):
     assert np.allclose(kappa, record.valid()[1], rtol=1e-15)
 
 
+def test_simulate_output_independent_of_threads(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    outs = [tmp_path / f"threads{n}.csv" for n in (1, 4)]
+    for n, out in zip((1, 4), outs):
+        assert _run("simulate", "--config", str(cfg), "--threads", str(n),
+                    "--out", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_simulate_seed_zero_overrides_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    zero_cfg = tmp_path / "zero.cfg"
+    zero_cfg.write_text(RUN_CFG.replace("master_seed = 9", "master_seed = 0"))
+    overridden = tmp_path / "overridden.csv"
+    direct = tmp_path / "direct.csv"
+    kept = tmp_path / "kept.csv"
+    assert _run("simulate", "--config", str(cfg), "--seed", "0",
+                "--out", str(overridden)) == 0
+    assert _run("simulate", "--config", str(zero_cfg), "--out", str(direct)) == 0
+    assert _run("simulate", "--config", str(cfg), "--out", str(kept)) == 0
+    assert "# master_seed = 0\n" in overridden.read_text()
+    assert overridden.read_bytes() == direct.read_bytes()
+    assert "# master_seed = 9\n" in kept.read_text()
+
+
 def test_simulate_missing_config_and_bad_config(tmp_path):
     assert _run("simulate", "--config", str(tmp_path / "nope.cfg")) == 2
     bad = tmp_path / "bad.cfg"
@@ -174,6 +201,16 @@ def test_fit_rejects_record_without_sigma(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,1.0,0.1\n3600.0,1.0\n")
     assert _run("fit", "--record", str(bad)) == 2
+
+
+def test_fit_rejects_non_finite_rows(tmp_path, capsys):
+    good = "0.0,1.0,0.1\n1.0,1.0,0.1\n2.0,1.1,0.1\n90000.0,1.0,0.1\n"
+    for bad_row in ("3600.0,nan,0.1", "3600.0,1.0,inf", "nan,1.0,0.1",
+                    "3600.0,0,2,0.1,-inf,0.1"):
+        rec = tmp_path / "rec.csv"
+        rec.write_text("t,kappa,sigma\n" + good + bad_row + "\n180000.0,1.0,0.1\n")
+        assert _run("fit", "--record", str(rec), "--species", "Yb+") == 2
+        assert f"{rec}:6:" in capsys.readouterr().err
 
 
 def test_fit_unknown_species(tmp_path):

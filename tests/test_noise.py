@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,20 +8,12 @@ from hypothesis import strategies as st
 from ddspin.noise import (
     NoiseModel,
     NoiseTrace,
-    StaticKappaBudget,
     TimeGrid,
     ac_line_trace,
     decay_survival,
     delta_trace,
-    mains_harmonics,
-    read_trace,
     sample_ou_trace,
-    static_kappa,
-    write_trace,
 )
-from ddspin.spin_algebra import IonSpecies, tensor_kappa
-
-YB = IonSpecies("Yb+", 69, "4f^13 6s^2", 7, 135.0)
 
 
 def test_grid_validation():
@@ -115,11 +106,6 @@ def test_ac_line_empty_and_linearity():
     assert np.allclose(combined.samples, summed, atol=1e-12)
 
 
-def test_mains_harmonics_helper():
-    harmonics = mains_harmonics([1.0, 0.5, 0.2])
-    assert [f for f, _, _ in harmonics] == [50.0, 100.0, 150.0]
-
-
 def test_trace_addition_commutes_and_splits():
     grid = TimeGrid(0.0, 1e-4, 256)
     drift_model = NoiseModel(ou_sigma=5.0, ou_tau_c=0.01, dc_offset=2.0)
@@ -152,26 +138,3 @@ def test_decay_survival_monotone(t, lifetime):
     s = decay_survival(t, lifetime)
     assert 0.0 < s < 1.0
     assert decay_survival(t * 2, lifetime) < s
-
-
-def test_static_budget():
-    assert static_kappa(StaticKappaBudget()) == 0.0
-    lv = tensor_kappa(YB, 1e-18)
-    budget = StaticKappaBudget(quadrupole=100.0, second_order_zeeman=10.0,
-                               tensor_term=lv)
-    assert budget.total == pytest.approx(110.0 + 2 * math.pi * 5.1e-3, rel=1e-2)
-    shuffled = StaticKappaBudget(quadrupole=10.0, second_order_zeeman=lv,
-                                 tensor_term=100.0)
-    assert shuffled.total == budget.total
-
-
-def test_trace_file_round_trip(tmp_path):
-    grid = TimeGrid(0.0, 1e-4, 32)
-    trace = sample_ou_trace(NoiseModel(ou_sigma=4.0, ou_tau_c=1e-2), grid, seed=9)
-    buf = io.StringIO()
-    write_trace(buf, trace)
-    path = tmp_path / "trace.csv"
-    path.write_text(buf.getvalue())
-    back = read_trace(path)
-    assert back.grid == grid
-    assert np.array_equal(back.samples, trace.samples)

@@ -7,15 +7,13 @@ import pytest
 from ddspin.sensitivity import (
     FringeFunction,
     SensitivityReport,
-    contrast_degradation_sweep,
     delta_kappa,
     entangled_benchmark,
-    entangled_fringe,
-    tensor_bound_from_kappa,
+    find_root,
     optimal_working_point,
     write_report,
 )
-from ddspin.sequence import fringe_probability
+from ddspin.sequence import SequenceConfig, fringe_probability, sequence_unitary
 from ddspin.spin_algebra import IonSpecies, SpinSystem, tensor_kappa
 
 S72 = SpinSystem(7)
@@ -40,53 +38,111 @@ def test_fringe_function_matches_engine():
     assert array_eval.shape == (2,)
 
 
+def test_fringe_matches_sequence_unitary():
+    # the kernel against the explicit matrix product, every m of each J
+    for twice_j in (1, 2, 5, 7, 12):
+        sys = SpinSystem(twice_j)
+        for phi in (math.pi, 0.9):
+            for tm in sys.twice_m_values:
+                fringe = FringeFunction(sys, tm, phi)
+                i = sys.index_of(tm)
+                for chi in np.linspace(-1.0, 7.0, 17):
+                    cfg = SequenceConfig(sys, 0.25, 1, float(chi), phi, tm)
+                    u = sequence_unitary(cfg).matrix
+                    assert abs(fringe(float(chi)) - abs(u[i, i]) ** 2) <= 1e-13
+
+
+def test_fringe_derivatives_match_central_differences():
+    h = 1e-5
+    chis = np.linspace(0.01, 2 * math.pi, 97)
+    for sys, tm, phi in [(S72, 1, math.pi), (S72, -5, 0.9), (SpinSystem(12), 4, math.pi),
+                         (SpinSystem(5), 3, 2.0)]:
+        fringe = FringeFunction(sys, tm, phi)
+        derivs = fringe(chis, 3)
+        above, below = fringe(chis + h, 3), fringe(chis - h, 3)
+        for n in (1, 2, 3):
+            central = (above[n - 1] - below[n - 1]) / (2 * h)
+            assert np.max(np.abs(derivs[n] - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_fringe_array_evaluation_equals_scalar():
+    for sys, tm, phi in [(SpinSystem(5), -3, 1.3), (S72, 1, math.pi), (SpinSystem(12), 0, 0.4)]:
+        fringe = FringeFunction(sys, tm, phi)
+        for n in (2, 7, 65, 2001):
+            chis = np.linspace(-0.5, 4.0, n)
+            for order in (0, 1, 3):
+                array_values = fringe(chis, order)
+                scalar_values = [fringe(float(chi), order) for chi in chis]
+                if order == 0:
+                    assert np.array_equal(array_values, scalar_values)
+                else:
+                    assert np.array_equal(np.array(array_values).T, scalar_values)
+                    assert np.array_equal(array_values[0], fringe(chis))
+    grid = FringeFunction(S72, 1, math.pi)(np.linspace(0, 1, 12).reshape(3, 4), 2)
+    assert [v.shape for v in grid] == [(3, 4)] * 3
+
+
+def test_find_root_stays_in_bracket_and_stops_when_flat():
+    targets = np.array([0.3, -1.7, 2.5, 0.0])
+    lo, hi = np.array([-1.0, -3.0, 0.0, -0.1]), np.array([4.0, 0.0, 2.5, 5.0])
+    roots = find_root(lambda x: (x ** 3 - targets ** 3, 3 * x ** 2), lo, hi)
+    assert np.all((lo <= roots) & (roots <= hi))
+    assert np.max(np.abs(roots - targets)) <= 1e-12
+    # Newton overshoots arctan from far away; bisection takes over
+    root = find_root(lambda x: (np.arctan(x - 9.0), 1.0 / (1.0 + (x - 9.0) ** 2)),
+                     -50.0, 10.0)
+    assert root.shape == () and abs(root - 9.0) <= 1e-12
+    # no slope anywhere: the search still ends, inside the bracket
+    flat = find_root(lambda x: (np.ones_like(x), np.zeros_like(x)), lo, hi)
+    assert np.all((lo <= flat) & (flat <= hi))
+    zero = find_root(lambda x: (np.zeros_like(x), np.zeros_like(x)), lo, hi)
+    assert np.array_equal(zero, lo)
+
+
 @pytest.mark.filterwarnings("ignore:variance")
 def test_delta_kappa_closed_form_fringe():
-    # sine fringe of the entangled register, one parity probe
+    # sine fringe of the entangled register, F = (1 + sin(12 N chi))/2,
+    # read at chi = 0 by one parity probe
     for n_ions in (2, 6):
-        fringe = entangled_fringe(n_ions)
-        value = delta_kappa(fringe, 0.0, 1, 1.0, 1.0)
-        assert value == pytest.approx(1.0 / (12.0 * n_ions), rel=1e-7)
-    # N=2 at machine-level agreement with the closed form
-    assert delta_kappa(entangled_fringe(2), 0.0, 1, 1.0, 1.0) == \
-        pytest.approx(1.0 / 24.0, abs=1e-10)
+        bench = entangled_benchmark(n_ions)
+        value = delta_kappa(0.5, bench.dF_dchi_max, 1, 1.0, 1.0)
+        assert value == pytest.approx(1.0 / (12.0 * n_ions), rel=1e-12)
+        assert value == pytest.approx(bench.delta_kappa_coeff, rel=1e-12)
 
 
 def test_delta_kappa_scalings():
-    fringe = FringeFunction(S72, 1, math.pi)
-    chi = 0.15
-    base = delta_kappa(fringe, chi, 1, 100.0, 1.0)
-    assert delta_kappa(fringe, chi, 2, 100.0, 1.0) == \
+    f, slope = FringeFunction(S72, 1, math.pi)(0.15, 1)
+    base = delta_kappa(f, slope, 1, 100.0, 1.0)
+    assert delta_kappa(f, slope, 2, 100.0, 1.0) == \
         pytest.approx(base / math.sqrt(2), rel=1e-12)
-    assert delta_kappa(fringe, chi, 1, 200.0, 1.0) == \
+    assert delta_kappa(f, slope, 1, 200.0, 1.0) == \
         pytest.approx(base / math.sqrt(2), rel=1e-12)
 
 
 def test_delta_kappa_error_cases():
     with pytest.raises(ValueError, match="no projection noise information"):
-        delta_kappa(lambda chi: 1.0, 0.3, 1, 1.0, 1.0)
-    flat = lambda chi: 0.5
+        delta_kappa(1.0, 0.3, 1, 1.0, 1.0)
     with pytest.raises(ValueError, match="insensitive working point"):
-        delta_kappa(flat, 0.3, 1, 1.0, 1.0)
+        delta_kappa(0.5, 0.0, 1, 1.0, 1.0)
     # the real fringe extremum at chi = 0 trips one of the two guards
-    fringe = FringeFunction(S72, 1, math.pi)
+    f, slope = FringeFunction(S72, 1, math.pi)(0.0, 1)
     with pytest.raises(ValueError):
-        delta_kappa(fringe, 0.0, 1, 1.0, 1.0)
+        delta_kappa(f, slope, 1, 1.0, 1.0)
 
 
 def test_delta_kappa_warns_on_small_variance():
-    fringe = FringeFunction(S72, 1, math.pi)
+    f, slope = FringeFunction(S72, 1, math.pi)(0.15, 1)
     with pytest.warns(UserWarning, match="Gaussian"):
-        delta_kappa(fringe, 0.15, 1, 2.0, 1.0)
+        delta_kappa(f, slope, 1, 2.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:variance")
 def test_delta_kappa_invariant_under_fringe_flip():
     fringe = FringeFunction(S72, 3, math.pi)
-    flipped = lambda chi: 1.0 - fringe(chi)
     for chi in (0.1, 0.17, 0.4):
-        assert delta_kappa(fringe, chi, 4, 50.0, 2.0) == \
-            pytest.approx(delta_kappa(flipped, chi, 4, 50.0, 2.0), rel=1e-12)
+        f, slope = fringe(chi, 1)
+        assert delta_kappa(f, slope, 4, 50.0, 2.0) == \
+            pytest.approx(delta_kappa(1.0 - f, -slope, 4, 50.0, 2.0), rel=1e-12)
 
 
 def test_working_points_match_quoted_values():
@@ -99,10 +155,10 @@ def test_working_points_match_quoted_values():
 def test_working_point_is_stationary():
     report = optimal_working_point(S72, 1, math.pi)
     fringe = FringeFunction(S72, 1, math.pi)
-    here = abs(fringe.slope(report.chi_m))
+    here = abs(fringe(report.chi_m, 1)[1])
     step = fringe.period / 2000.0
     for sign in (-1.0, 1.0):
-        nearby = abs(fringe.slope(report.chi_m + sign * 1e-5 * step))
+        nearby = abs(fringe(report.chi_m + sign * 1e-5 * step, 1)[1])
         assert nearby <= here + 1e-9
 
 
@@ -133,12 +189,13 @@ def test_methods_comparable_at_small_n():
 
 
 def test_tensor_bound_examples():
+    # a shift resolution bounds the tensor coefficient through the
+    # species' per-unit kappa
     dk = 2 * math.pi * 5.1e-3
-    bound = tensor_bound_from_kappa(dk, YB)
+    bound = dk / tensor_kappa(YB, 1.0)
     assert bound == pytest.approx(1e-18, rel=0.01)
-    assert tensor_bound_from_kappa(0.0, YB) == 0.0
     half_me = IonSpecies("Yb half", 69, "4f^13 6s^2", 7, 135.0 / 2)
-    assert tensor_bound_from_kappa(dk, half_me) == pytest.approx(2 * bound, rel=1e-12)
+    assert dk / tensor_kappa(half_me, 1.0) == pytest.approx(2 * bound, rel=1e-12)
 
 
 def test_bound_ratio_between_species():
@@ -151,19 +208,20 @@ def test_bound_ratio_between_species():
                    / tensor_level_shift(ca, 5, 1, 1.0))
     assert shift_ratio == pytest.approx(3.0e17 / 4.5e15, rel=0.05)
     # at equal shift resolution the bound tightens by the per-m^2 ratio
-    dk = 1.0
-    bound_ratio = tensor_bound_from_kappa(dk, ca) / tensor_bound_from_kappa(dk, u34)
-    assert bound_ratio == pytest.approx(tensor_kappa(u34, 1.0) / tensor_kappa(ca, 1.0),
-                                        rel=1e-12)
+    bound_ratio = tensor_kappa(u34, 1.0) / tensor_kappa(ca, 1.0)
     assert bound_ratio == pytest.approx(shift_ratio * 6.0 / 36.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:variance")
 def test_contrast_sweep_degrades_sensitivity():
-    rows = contrast_degradation_sweep(S72, 1, math.pi, [1.0, 0.8, 0.5])
-    coeffs = [c for _, _, c in rows]
+    # contrast c scales the fringe toward the uniform baseline 1/(2J+1):
+    # F -> c F + (1 - c)/dim and dF/dchi -> c dF/dchi at the ideal chi_m
+    report = optimal_working_point(S72, 1, math.pi)
+    f, slope = FringeFunction(S72, 1, math.pi)(report.chi_m, 1)
+    coeffs = [delta_kappa(c * f + (1.0 - c) / S72.dim, c * slope, 1, 1.0, 1.0)
+              for c in (1.0, 0.8, 0.5)]
     assert coeffs[0] < coeffs[1] < coeffs[2]
-    assert rows[0][2] == pytest.approx(
-        optimal_working_point(S72, 1, math.pi).delta_kappa_coeff, rel=1e-9)
+    assert coeffs[0] == pytest.approx(report.delta_kappa_coeff, rel=1e-9)
 
 
 def test_report_validation_and_export():

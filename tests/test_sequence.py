@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ddspin.noise import NoiseModel, NoiseTrace, TimeGrid, sample_ou_trace
 from ddspin.sequence import (
     FreeEvolution,
-    LabFrameInfo,
     Pulse,
     PulseSchedule,
     SequenceConfig,
@@ -18,12 +17,12 @@ from ddspin.sequence import (
     dd_block_unitary,
     dd_sequence_schedule,
     fringe_grid,
-    fringe_period,
     fringe_probability,
     integrate_noisy,
     sequence_unitary,
     write_fringe_grid,
 )
+from ddspin.sensitivity import fringe_period
 from ddspin.spin_algebra import SpinSystem, build_angular_momentum_ops, rotation
 
 S72 = SpinSystem(7)
@@ -66,12 +65,6 @@ def test_schedule_shapes():
     assert sched.total_duration == pytest.approx(cfg2.total_time)
     finite = dd_sequence_schedule(_cfg(omega0=2 * math.pi * 50e3))
     assert finite.total_duration > 4 * 150e-6
-
-
-def test_lab_frame_info():
-    info = LabFrameInfo(zeeman_splitting=2 * math.pi * 4.65e6,
-                        rf_frequency=2 * math.pi * 4.6505e6)
-    assert info.detuning == pytest.approx(2 * math.pi * 500, rel=1e-9)
 
 
 # --- closed forms ------------------------------------------------------------
