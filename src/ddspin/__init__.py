@@ -9,8 +9,6 @@ tensor shift.
 
 from ddspin.spin_algebra import (
     HARTREE_HZ,
-    AngularMomentumOps,
-    HyperfineLevel,
     IonSpecies,
     OperatorMatrix,
     SpinSystem,

@@ -12,6 +12,7 @@ import math
 import re
 import sys as _sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,12 @@ from ddspin.experiment import (
     run_experiment,
     write_record,
 )
-from ddspin.sensitivity import entangled_benchmark, optimal_working_point
+from ddspin.sensitivity import (
+    FringeFunction,
+    entangled_benchmark,
+    optimal_working_point,
+    write_report,
+)
 from ddspin.sequence import fringe_grid, write_fringe_grid
 from ddspin.sidereal import bound_tensor_coefficient, fit_harmonics, read_kappa_record, write_fit_report
 from ddspin.spin_algebra import (
@@ -159,9 +165,9 @@ def _cmd_fringe(args) -> int:
             raise SystemExit(_usage("--slice expects phi=ANGLE"))
         phi = parse_angle(value)
         kt_axis = np.linspace(args.kt_min, args.kt_max, args.kt_points)
-        from ddspin.sensitivity import FringeFunction, optimal_working_point
         report = optimal_working_point(sys, args.m, phi)
         fringe = FringeFunction(sys, args.m, phi)
+        values = fringe(kt_axis)
         with _open_out(args.out) as out:
             out.write(f"# command = fringe --slice phi={phi:.17g}\n")
             out.write(f"# J = {args.J}/2, m = {args.m}/2\n")
@@ -169,8 +175,8 @@ def _cmd_fringe(args) -> int:
             out.write(f"# chi_m_rad = {report.chi_m:.17g}\n")
             out.write(f"# p_at_chi_m = {fringe(report.chi_m):.17g}\n")
             out.write("kappaT_rad,probability\n")
-            for x in kt_axis:
-                out.write(f"{x:.17g},{fringe(float(x)):.17g}\n")
+            for x, p in zip(kt_axis, values):
+                out.write(f"{x:.17g},{p:.17g}\n")
         return 0
     kt_axis = np.linspace(args.kt_min, args.kt_max, args.kt_points)
     phi_axis = np.linspace(args.phi_min, args.phi_max, args.phi_points,
@@ -229,7 +235,12 @@ def _cmd_sensitivity(args) -> int:
         raise SystemExit(_usage("--tau and --T must be > 0"))
     sys = SpinSystem(args.J)
     twice_ms = [as_twice(tok) for tok in args.m.split(",")]
+    reports = [optimal_working_point(sys, tm, args.phi) for tm in twice_ms]
     scale = math.sqrt(args.N * args.tau * args.T)
+    # The entangled scheme pairs ions, so an odd N compares against N = 2.
+    n_ions = args.N if args.N % 2 == 0 else 2
+    bench = entangled_benchmark(n_ions) if args.compare_entangled else None
+    bench_scale = math.sqrt(args.tau * args.T)
     with _open_out(args.out) as out:
         out.write("# command = sensitivity\n")
         out.write(f"# J = {args.J}/2, phi = {args.phi:.17g}\n")
@@ -238,37 +249,30 @@ def _cmd_sensitivity(args) -> int:
         if args.format == "csv":
             out.write("twice_m,chi_m_rad,delta_kappa_coeff_rad,"
                       "delta_kappa_rad_per_s\n")
-            for tm in twice_ms:
-                report = optimal_working_point(sys, tm, args.phi)
-                out.write(f"{tm},{report.chi_m:.17g},"
+            for report in reports:
+                out.write(f"{report.twice_m},{report.chi_m:.17g},"
                           f"{report.delta_kappa_coeff:.17g},"
                           f"{report.delta_kappa_coeff / scale:.17g}\n")
-            if args.compare_entangled:
-                bench = entangled_benchmark(args.N if args.N % 2 == 0 else 2)
+            if bench is not None:
                 out.write(f"entangled,{bench.chi_m:.17g},"
                           f"{bench.delta_kappa_coeff:.17g},"
-                          f"{bench.delta_kappa_coeff / math.sqrt(args.tau * args.T):.17g}\n")
+                          f"{bench.delta_kappa_coeff / bench_scale:.17g}\n")
         else:
-            from ddspin.sensitivity import write_report
-            for tm in twice_ms:
-                report = optimal_working_point(sys, tm, args.phi)
+            for report in reports:
                 write_report(out, report)
                 out.write(f"delta_kappa_rad_per_s = "
                           f"{report.delta_kappa_coeff / scale:.17g}\n\n")
-            if args.compare_entangled:
-                n_ions = args.N if args.N % 2 == 0 else 2
-                bench = entangled_benchmark(n_ions)
+            if bench is not None:
                 out.write(f"benchmark = entangled, N = {n_ions}\n")
                 write_report(out, bench)
                 out.write(f"delta_kappa_rad_per_s = "
-                          f"{bench.delta_kappa_coeff / math.sqrt(args.tau * args.T):.17g}\n")
+                          f"{bench.delta_kappa_coeff / bench_scale:.17g}\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, master_seed=args.seed)
     record = run_experiment(cfg)
     with _open_out(args.out) as out:

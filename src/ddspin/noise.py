@@ -47,8 +47,6 @@ class NoiseTrace:
 
     grid: TimeGrid
     samples: np.ndarray
-    descriptor: str = ""
-    seed: object = None
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
@@ -65,14 +63,6 @@ class NoiseTrace:
         idx = np.rint((np.asarray(t, dtype=float) - self.grid.t0) / self.grid.dt)
         idx = np.clip(idx.astype(int), 0, self.grid.count - 1)
         return self.samples[idx]
-
-    def __add__(self, other: "NoiseTrace") -> "NoiseTrace":
-        if not isinstance(other, NoiseTrace):
-            return NotImplemented
-        if self.grid != other.grid:
-            raise ValueError("cannot add traces on different grids")
-        descriptor = "+".join(d for d in (self.descriptor, other.descriptor) if d)
-        return NoiseTrace(self.grid, self.samples + other.samples, descriptor)
 
 
 @dataclass(frozen=True)
@@ -137,14 +127,14 @@ def sample_ou_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
     """Stationary OU drift around dc_offset (see _ou_drift).  Identical
     (seed, grid, model) always gives the identical trace."""
     drift = _ou_drift(model, grid, np.random.default_rng(seed))
-    return NoiseTrace(grid, drift + model.dc_offset, descriptor="ou", seed=seed)
+    return NoiseTrace(grid, drift + model.dc_offset)
 
 
 def ac_line_trace(model: NoiseModel, grid: TimeGrid) -> NoiseTrace:
     """Deterministic mains pickup: dc_offset + sum of a*sin(2 pi f t + p)."""
     delta = np.full(grid.count, model.dc_offset)
     _add_mains(delta, model, grid)
-    return NoiseTrace(grid, delta, descriptor="line")
+    return NoiseTrace(grid, delta)
 
 
 def delta_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
@@ -154,7 +144,7 @@ def delta_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
     else:
         delta = np.zeros(grid.count)
     _add_mains(delta, model, grid)
-    return NoiseTrace(grid, delta + model.dc_offset, descriptor="ou+line", seed=seed)
+    return NoiseTrace(grid, delta + model.dc_offset)
 
 
 def decay_survival(t: float, lifetime: float) -> float:

@@ -52,8 +52,8 @@ class FringeFunction:
         self.twice_m = twice_m
         self.phi = float(phi)
         i = sys.index_of(twice_m)
-        r_init = rotation(sys, 0.0, math.pi / 2.0).matrix
-        r_final = rotation(sys, self.phi, math.pi / 2.0).matrix
+        r_init = rotation(sys, 0.0, math.pi / 2.0)
+        r_final = rotation(sys, self.phi, math.pi / 2.0)
         self._msq, slot = np.unique(sys.m_values ** 2, return_inverse=True)
         amps = np.zeros(self._msq.size, dtype=complex)
         np.add.at(amps, slot, r_final[i, :] * r_init[:, i])

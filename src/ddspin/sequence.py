@@ -169,11 +169,11 @@ def dd_block_unitary(cfg: SequenceConfig, delta: float) -> OperatorMatrix:
     sys = cfg.sys
     outer = _free_diag(sys, delta * cfg.t_w, cfg.kappa * cfg.t_w)
     middle = _free_diag(sys, 2.0 * delta * cfg.t_w, 2.0 * cfg.kappa * cfg.t_w)
-    pi_plus_y = rotation(sys, -math.pi / 2.0, math.pi).matrix   # exp(+i pi Jy)
-    pi_minus_y = rotation(sys, math.pi / 2.0, math.pi).matrix   # exp(-i pi Jy)
+    pi_plus_y = rotation(sys, -math.pi / 2.0, math.pi)   # exp(+i pi Jy)
+    pi_minus_y = rotation(sys, math.pi / 2.0, math.pi)   # exp(-i pi Jy)
     u = (outer[:, None] * pi_minus_y) @ (middle[:, None] * pi_plus_y) \
         * outer[None, :]
-    return OperatorMatrix(u, unitary=True)
+    return OperatorMatrix(u)
 
 
 def sequence_unitary(cfg: SequenceConfig) -> OperatorMatrix:
@@ -183,10 +183,10 @@ def sequence_unitary(cfg: SequenceConfig) -> OperatorMatrix:
     if not cfg.instantaneous_pulses:
         raise ValueError("sequence_unitary is the instantaneous-pulse closed form")
     sys = cfg.sys
-    r_init = rotation(sys, 0.0, math.pi / 2.0).matrix
-    r_final = rotation(sys, cfg.phi, math.pi / 2.0).matrix
+    r_init = rotation(sys, 0.0, math.pi / 2.0)
+    r_final = rotation(sys, cfg.phi, math.pi / 2.0)
     diag = _free_diag(sys, 0.0, cfg.kappa * cfg.total_time)
-    return OperatorMatrix(r_final @ (diag[:, None] * r_init), unitary=True)
+    return OperatorMatrix(r_final @ (diag[:, None] * r_init))
 
 
 def fringe_probability(sys: SpinSystem, twice_m: int, kappa_t: float,
@@ -228,8 +228,8 @@ def write_fringe_grid(out: IO[str], kappa_t_axis, phi_axis, grid: np.ndarray,
 
 
 def _pulse_generator(sys: SpinSystem, phase: float) -> np.ndarray:
-    ops = build_angular_momentum_ops(sys)
-    return math.cos(phase) * ops.jx.matrix - math.sin(phase) * ops.jy.matrix
+    jx, jy, _ = build_angular_momentum_ops(sys)
+    return math.cos(phase) * jx - math.sin(phase) * jy
 
 
 def default_step(cfg: SequenceConfig) -> float:
@@ -283,7 +283,7 @@ def integrate_noisy(cfg: SequenceConfig, schedule: PulseSchedule,
             t += seg.duration
         else:
             if seg.duration == 0.0:
-                u = rotation(sys, seg.phase, seg.area).matrix @ u
+                u = rotation(sys, seg.phase, seg.area) @ u
                 continue
             omega = seg.area / seg.duration
             drive = omega * _pulse_generator(sys, seg.phase)
@@ -296,4 +296,4 @@ def integrate_noisy(cfg: SequenceConfig, schedule: PulseSchedule,
                 w, v = np.linalg.eigh(ham)
                 u = (v * np.exp(1j * w * h)) @ v.conj().T @ u
             t += seg.duration
-    return OperatorMatrix(u, unitary=True)
+    return OperatorMatrix(u)

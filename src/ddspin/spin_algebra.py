@@ -108,99 +108,72 @@ class SpinSystem:
         return (twice_m + self.twice_j) // 2
 
 
+def _check_unitary(mat: np.ndarray) -> None:
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) > 1e-12:
+        raise ValueError("matrix flagged unitary is not unitary")
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A dim x dim complex matrix with optional structure flags.
-
-    Flags are validated at construction: hermitian to 1e-13 (relative to
-    the largest entry), unitary to 1e-12, diagonal exactly.  The stored
-    array is made read-only so instances are safe to share.
-    """
+    """A square complex matrix checked to be unitary to 1e-12: the
+    propagator returned by sequence_unitary, dd_block_unitary and
+    integrate_noisy.  The stored array is read-only."""
 
     matrix: np.ndarray
-    hermitian: bool = False
-    unitary: bool = False
-    diagonal: bool = False
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
+        _check_unitary(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        scale = np.max(np.abs(mat)) or 1.0
-        if self.hermitian and np.max(np.abs(mat - mat.conj().T)) > 1e-13 * scale:
-            raise ValueError("matrix flagged hermitian is not hermitian")
-        if self.unitary:
-            eye = np.eye(mat.shape[0])
-            if np.max(np.abs(mat.conj().T @ mat - eye)) > 1e-12:
-                raise ValueError("matrix flagged unitary is not unitary")
-        if self.diagonal and np.max(np.abs(mat - np.diag(np.diag(mat)))) != 0.0:
-            raise ValueError("matrix flagged diagonal has off-diagonal entries")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.matrix
-        return self.matrix.astype(dtype)
-
-
-@dataclass(frozen=True, eq=False)
-class AngularMomentumOps:
-    """The standard operator set for one spin system."""
-
-    jx: OperatorMatrix
-    jy: OperatorMatrix
-    jz: OperatorMatrix
-    jplus: OperatorMatrix
-    jminus: OperatorMatrix
 
 
 @lru_cache(maxsize=64)
-def build_angular_momentum_ops(sys: SpinSystem) -> AngularMomentumOps:
-    """Construct Jx, Jy, Jz, J+, J- as matrices in the ascending-m basis.
+def build_angular_momentum_ops(sys: SpinSystem) -> tuple[np.ndarray, ...]:
+    """(Jx, Jy, Jz) as read-only matrices in the ascending-m basis.
 
     Jz is diagonal with entries m; <m+1|J+|m> = sqrt(J(J+1) - m(m+1));
-    Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).
+    Jx = (J+ + J-)/2 and Jy = (J+ - J-)/(2i).  Each is checked to be
+    hermitian to 1e-13 relative to its largest entry.
     """
     j = sys.j
     m = sys.m_values
-    jz = np.diag(m.astype(complex))
     jplus = np.zeros((sys.dim, sys.dim), dtype=complex)
     for i in range(sys.dim - 1):
         jplus[i + 1, i] = math.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
     jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2.0
-    jy = (jplus - jminus) / 2.0j
-    return AngularMomentumOps(
-        jx=OperatorMatrix(jx, hermitian=True),
-        jy=OperatorMatrix(jy, hermitian=True),
-        jz=OperatorMatrix(jz, hermitian=True, diagonal=True),
-        jplus=OperatorMatrix(jplus),
-        jminus=OperatorMatrix(jminus),
-    )
+    ops = ((jplus + jminus) / 2.0, (jplus - jminus) / 2.0j,
+           np.diag(m.astype(complex)))
+    for op in ops:
+        if np.max(np.abs(op - op.conj().T)) > 1e-13 * np.max(np.abs(op)):
+            raise ValueError("matrix flagged hermitian is not hermitian")
+        op.setflags(write=False)
+    return ops
 
 
 @lru_cache(maxsize=4096)
 def _rotation_matrix(twice_j: int, phi: float, theta: float) -> np.ndarray:
-    ops = build_angular_momentum_ops(SpinSystem(twice_j))
-    gen = math.cos(phi) * ops.jx.matrix - math.sin(phi) * ops.jy.matrix
+    jx, jy, _ = build_angular_momentum_ops(SpinSystem(twice_j))
+    gen = math.cos(phi) * jx - math.sin(phi) * jy
     w, v = np.linalg.eigh(gen)
     u = (v * np.exp(1j * theta * w)) @ v.conj().T
+    _check_unitary(u)
     u.setflags(write=False)
     return u
 
 
-def rotation(sys: SpinSystem, phi: float, theta: float) -> OperatorMatrix:
+def rotation(sys: SpinSystem, phi: float, theta: float) -> np.ndarray:
     """exp(i * theta * (Jx cos(phi) - Jy sin(phi))), computed by
-    eigendecomposition of the Hermitian generator (exact at these sizes)."""
+    eigendecomposition of the Hermitian generator (exact at these sizes).
+
+    The matrix is cached and read-only: repeat calls with the same
+    (J, phi, theta) return the same array.
+    """
     if not (math.isfinite(phi) and math.isfinite(theta)):
         raise ValueError("phi and theta must be finite")
-    return OperatorMatrix(_rotation_matrix(sys.twice_j, float(phi), float(theta)),
-                          unitary=True)
+    return _rotation_matrix(sys.twice_j, float(phi), float(theta))
 
 
 def t20_geometric_factor(twice_j: int, twice_m: int) -> float:
@@ -367,35 +340,6 @@ def wigner_6j(tj1: int, tj2: int, tj3: int,
                    - _lnfact(t1 - z) - _lnfact(t2 - z) - _lnfact(t3 - z))
         total += (-1.0) ** z * math.exp(ln_pref + ln_term)
     return total
-
-
-@dataclass(frozen=True)
-class HyperfineLevel:
-    """Quantum numbers of a hyperfine-coupled level pair (F', F) built on
-    electronic J and nuclear I, with tensor component q (q = 0 here)."""
-
-    twice_j: int
-    twice_i: int
-    twice_f: int
-    twice_f_prime: int
-    q: int = 0
-    twice_m_f: int = 0
-
-    def __post_init__(self):
-        for name in ("twice_j", "twice_i", "twice_f", "twice_f_prime"):
-            _require_twice_int(name, getattr(self, name))
-        if not _triangle_ok(self.twice_j, self.twice_i, self.twice_f):
-            raise ValueError("(J, I, F) violates the triangle condition")
-        if not _triangle_ok(self.twice_j, self.twice_i, self.twice_f_prime):
-            raise ValueError("(J, I, F') violates the triangle condition")
-        if abs(self.twice_m_f) > min(self.twice_f, self.twice_f_prime):
-            raise ValueError("M_F out of range")
-
-    @property
-    def coupling_allowed(self) -> bool:
-        """Rank-2 coupling requires |F - F'| <= 2 (and F + F' >= 2)."""
-        return (abs(self.twice_f - self.twice_f_prime) <= 4
-                and self.twice_f + self.twice_f_prime >= 4)
 
 
 def hyperfine_reduced_me(twice_j_prime: int, twice_j: int, twice_i: int,

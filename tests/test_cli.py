@@ -123,6 +123,27 @@ def test_sensitivity_command(tmp_path):
     assert _run("sensitivity", "--J", "7/2", "--m", "1/2", "--N", "0") == 1
 
 
+def test_sensitivity_csv_output(tmp_path):
+    out = tmp_path / "sens.csv"
+    assert _run("sensitivity", "--J", "7/2", "--m", "1/2,7/2", "--N", "3",
+                "--tau", "7", "--T", "0.5", "--compare-entangled",
+                "--format", "csv", "--out", str(out)) == 0
+    expected = ["# command = sensitivity",
+                f"# J = 7/2, phi = {math.pi:.17g}",
+                "# N = 3, tau = 7, T = 0.5",
+                "# seed = 0",
+                "twice_m,chi_m_rad,delta_kappa_coeff_rad,delta_kappa_rad_per_s"]
+    for tm in (1, 7):
+        report = optimal_working_point(SpinSystem(7), tm, math.pi)
+        c = report.delta_kappa_coeff
+        expected.append(f"{tm},{report.chi_m:.17g},{c:.17g},"
+                        f"{c / math.sqrt(3 * 7 * 0.5):.17g}")
+    # An odd N compares against the smallest entangled register, N = 2.
+    c = entangled_benchmark(2).delta_kappa_coeff
+    expected.append(f"entangled,0,{c:.17g},{c / math.sqrt(7 * 0.5):.17g}")
+    assert out.read_text() == "\n".join(expected) + "\n"
+
+
 def test_simulate_round_trip_and_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG)

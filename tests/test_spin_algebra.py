@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddspin.spin_algebra import (
-    HyperfineLevel,
     IonSpecies,
     OperatorMatrix,
     SpinSystem,
@@ -57,32 +56,31 @@ def test_spin_system_basis():
         SpinSystem(0)
 
 
-def test_operator_matrix_flags():
-    good = np.array([[0, 1j], [-1j, 0]])
-    OperatorMatrix(good, hermitian=True)
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.array([[0, 1j], [1j, 0]]), hermitian=True)
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.array([[1, 0], [0, 2]]), unitary=True)
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.array([[1, 1], [0, 1]]), diagonal=True)
+def test_operator_matrix_checks_unitarity():
+    good = np.array([[0, 1j], [1j, 0]])
     assert OperatorMatrix(good).matrix.flags.writeable is False
+    with pytest.raises(ValueError, match="must be square"):
+        OperatorMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not unitary"):
+        OperatorMatrix(np.array([[1, 0], [0, 2]]))
 
 
 def test_spin_half_is_defining_representation():
-    ops = build_angular_momentum_ops(SpinSystem(1))
+    jx, jy, jz = build_angular_momentum_ops(SpinSystem(1))
     half = 0.5
-    assert np.allclose(ops.jz.matrix, np.diag([-half, half]))
-    assert np.allclose(ops.jx.matrix, half * np.array([[0, 1], [1, 0]]))
-    assert np.allclose(ops.jy.matrix, half * np.array([[0, 1j], [-1j, 0]]))
-    for op in (ops.jx, ops.jy, ops.jz):
-        assert sorted(np.linalg.eigvalsh(op.matrix)) == pytest.approx([-0.5, 0.5])
+    assert np.allclose(jz, np.diag([-half, half]))
+    assert np.allclose(jx, half * np.array([[0, 1], [1, 0]]))
+    assert np.allclose(jy, half * np.array([[0, 1j], [-1j, 0]]))
+    for op in (jx, jy, jz):
+        assert sorted(np.linalg.eigvalsh(op)) == pytest.approx([-0.5, 0.5])
 
 
 @given(twice_j=st.integers(min_value=1, max_value=15))
 def test_commutation_relations(twice_j):
-    ops = build_angular_momentum_ops(SpinSystem(twice_j))
-    jx, jy, jz = ops.jx.matrix, ops.jy.matrix, ops.jz.matrix
+    jx, jy, jz = build_angular_momentum_ops(SpinSystem(twice_j))
+    for op in (jx, jy, jz):
+        assert np.array_equal(op, op.conj().T)
+        assert op.flags.writeable is False
     assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) <= 1e-13
     assert np.max(np.abs(jy @ jz - jz @ jy - 1j * jx)) <= 1e-13
     assert np.max(np.abs(jz @ jx - jx @ jz - 1j * jy)) <= 1e-13
@@ -91,22 +89,33 @@ def test_commutation_relations(twice_j):
 @given(twice_j=st.integers(min_value=1, max_value=15))
 def test_casimir(twice_j):
     sys = SpinSystem(twice_j)
-    ops = build_angular_momentum_ops(sys)
-    total = (ops.jx.matrix @ ops.jx.matrix + ops.jy.matrix @ ops.jy.matrix
-             + ops.jz.matrix @ ops.jz.matrix)
+    jx, jy, jz = build_angular_momentum_ops(sys)
+    total = jx @ jx + jy @ jy + jz @ jz
     expected = sys.j * (sys.j + 1) * np.eye(sys.dim)
     assert np.max(np.abs(total - expected)) <= 1e-12
 
 
 def test_jz_squared_trace_closed_form():
     # sum of m^2 over the multiplet is J(J+1)(2J+1)/3
-    ops = build_angular_momentum_ops(SpinSystem(7))
-    assert np.trace(ops.jz.matrix @ ops.jz.matrix).real == pytest.approx(42.0)
+    jz = build_angular_momentum_ops(SpinSystem(7))[2]
+    assert np.trace(jz @ jz).real == pytest.approx(42.0)
 
 
 def test_rotation_identity_at_zero_angle():
-    u = rotation(SpinSystem(7), 0.3, 0.0).matrix
+    u = rotation(SpinSystem(7), 0.3, 0.0)
     assert np.max(np.abs(u - np.eye(8))) <= 1e-14
+
+
+def test_rotation_is_cached_and_read_only():
+    sys = SpinSystem(7)
+    u = rotation(sys, 0.3, 1.1)
+    assert rotation(sys, 0.3, 1.1) is u
+    assert u.flags.writeable is False
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    for phi, theta in ((math.nan, 1.0), (0.3, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            rotation(sys, phi, theta)
 
 
 @given(
@@ -117,28 +126,28 @@ def test_rotation_identity_at_zero_angle():
 @settings(max_examples=60)
 def test_rotation_matches_series_expm(twice_j, phi, theta):
     sys = SpinSystem(twice_j)
-    ops = build_angular_momentum_ops(sys)
-    gen = math.cos(phi) * ops.jx.matrix - math.sin(phi) * ops.jy.matrix
+    jx, jy, _ = build_angular_momentum_ops(sys)
+    gen = math.cos(phi) * jx - math.sin(phi) * jy
     reference = expm_scaling_squaring(1j * theta * gen)
-    assert np.max(np.abs(rotation(sys, phi, theta).matrix - reference)) <= 1e-12
+    assert np.max(np.abs(rotation(sys, phi, theta) - reference)) <= 1e-12
 
 
 def test_pi_rotation_kills_diagonal():
     # a pi rotation about an equatorial axis maps m -> -m up to phase
     sys = SpinSystem(7)
-    u = rotation(sys, 0.0, math.pi).matrix
+    u = rotation(sys, 0.0, math.pi)
     assert np.max(np.abs(np.diag(u))) <= 1e-13
     reference = expm_scaling_squaring(
-        1j * math.pi * build_angular_momentum_ops(sys).jx.matrix)
+        1j * math.pi * build_angular_momentum_ops(sys)[0])
     assert np.max(np.abs(u - reference)) <= 1e-12
 
 
 def test_pi_y_pulse_flips_jz():
     sys = SpinSystem(7)
-    ops = build_angular_momentum_ops(sys)
-    u = rotation(sys, math.pi / 2.0, math.pi).matrix
-    flipped = u @ ops.jz.matrix @ u.conj().T
-    assert np.max(np.abs(flipped + ops.jz.matrix)) <= 1e-12
+    jz = build_angular_momentum_ops(sys)[2]
+    u = rotation(sys, math.pi / 2.0, math.pi)
+    flipped = u @ jz @ u.conj().T
+    assert np.max(np.abs(flipped + jz)) <= 1e-12
 
 
 @given(
@@ -150,8 +159,8 @@ def test_pi_y_pulse_flips_jz():
 @settings(max_examples=60)
 def test_rotation_one_parameter_group(twice_j, phi, theta1, theta2):
     sys = SpinSystem(twice_j)
-    combined = rotation(sys, phi, theta1 + theta2).matrix
-    product = rotation(sys, phi, theta1).matrix @ rotation(sys, phi, theta2).matrix
+    combined = rotation(sys, phi, theta1 + theta2)
+    product = rotation(sys, phi, theta1) @ rotation(sys, phi, theta2)
     assert np.max(np.abs(combined - product)) <= 1e-12
 
 
@@ -341,14 +350,6 @@ def test_hyperfine_matches_uncoupled_basis_oracle():
     value = hyperfine_reduced_me(7, 7, 1, 8, 8, 135.0)
     oracle = brute_hyperfine_reduced_me(7, 1, 8, 8, 135.0)
     assert value == pytest.approx(oracle, rel=1e-10)
-
-
-def test_hyperfine_level_validation():
-    HyperfineLevel(7, 1, 8, 6)
-    with pytest.raises(ValueError):
-        HyperfineLevel(7, 1, 20, 8)
-    assert not HyperfineLevel(7, 7, 14, 8).coupling_allowed
-    assert HyperfineLevel(7, 1, 8, 6).coupling_allowed
 
 
 # --- Species table -----------------------------------------------------------
