@@ -14,18 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import IO, Iterable
 
 import numpy as np
 
-from ddspin.noise import NoiseModel, TimeGrid, decay_survival, delta_trace
+from ddspin.noise import (
+    NoiseModel,
+    TimeGrid,
+    WeightedPhase,
+    decay_survival,
+    delta_trace,
+)
 from ddspin.sensitivity import FringeFunction, find_root
 from ddspin.sequence import (
+    PulseSchedule,
     SequenceConfig,
     dd_sequence_schedule,
     default_step,
     fringe_probability,
     integrate_noisy,
+    toggling_probability,
+    toggling_weights,
 )
 from ddspin.sidereal import (
     OMEGA_ANNUAL,
@@ -150,13 +160,30 @@ def _kappa_at(cfg: RunConfig, t: float) -> float:
     return kappa
 
 
+def _trace_grid(schedule: PulseSchedule, step: float) -> TimeGrid:
+    """Detuning-trace grid at the integrator step, covering the schedule."""
+    return TimeGrid(0.0, step, int(math.ceil(schedule.total_duration / step)) + 2)
+
+
+@lru_cache(maxsize=8)
+def _toggling_phase(schedule: PulseSchedule, step: float,
+                    model: NoiseModel) -> WeightedPhase:
+    """Phi of a trial's delta_trace under the schedule's toggling weights.
+    The schedule does not depend on kappa, so a run builds this once."""
+    grid = _trace_grid(schedule, step)
+    return WeightedPhase(model, grid, toggling_weights(schedule, grid, step))
+
+
 def simulate_point(cfg: RunConfig, t: float, seed) -> tuple[int, int]:
     """Simulate one scheduled point; returns (successes, trials).
 
     trials = n_spins * n_trials_per_point.  With a quiet noise model and
     instantaneous pulses the survival probability comes from the closed
-    form; otherwise each trial integrates the sequence against a fresh
-    detuning trace (or a shared one when correlate_noise is set).
+    form.  Otherwise each trial sees a fresh detuning trace (or a shared
+    one when correlate_noise is set): with instantaneous pulses the trial
+    needs only the trace's toggling-frame phase Phi, taken from the
+    trace's own draws; with finite pulses integrate_noisy steps the
+    sequence through the trace.
     """
     seq = cfg.sequence
     kappa_t = _kappa_at(cfg, t)
@@ -178,23 +205,22 @@ def simulate_point(cfg: RunConfig, t: float, seed) -> tuple[int, int]:
     seq_t = replace(seq, kappa=kappa_t)
     schedule = dd_sequence_schedule(seq_t)
     step = cfg.step if cfg.step is not None else default_step(seq_t)
-    dt = step
-    count = int(math.ceil(schedule.total_duration / dt)) + 2
-    grid = TimeGrid(0.0, dt, count)
-    idx = seq.sys.index_of(seq.initial_twice_m)
-
-    shared_trace = None
-    if cfg.correlate_noise:
-        shared_trace = delta_trace(
-            noise, grid, np.random.SeedSequence(seed, spawn_key=(1, 0)))
-    successes = 0
-    for i in range(cfg.n_trials_per_point):
-        trace = shared_trace if shared_trace is not None else delta_trace(
-            noise, grid, np.random.SeedSequence(seed, spawn_key=(1, i)))
-        u = integrate_noisy(seq_t, schedule, trace, step).matrix
-        p_coherent = float(abs(u[idx, idx]) ** 2)
-        p = survival * p_coherent + (1.0 - survival) * baseline
-        successes += int(meas_rng.binomial(cfg.n_spins, p))
+    n_traces = 1 if cfg.correlate_noise else cfg.n_trials_per_point
+    trace_seeds = [np.random.SeedSequence(seed, spawn_key=(1, i))
+                   for i in range(n_traces)]
+    if seq.instantaneous_pulses:
+        phase = _toggling_phase(schedule, step, noise)
+        p_coherent = toggling_probability(seq_t, [phase(s) for s in trace_seeds])
+    else:
+        grid = _trace_grid(schedule, step)
+        idx = seq.sys.index_of(seq.initial_twice_m)
+        p_coherent = np.array([
+            abs(integrate_noisy(seq_t, schedule, delta_trace(noise, grid, s),
+                                step).matrix[idx, idx]) ** 2
+            for s in trace_seeds])
+    p = survival * p_coherent + (1.0 - survival) * baseline
+    p = np.broadcast_to(p, cfg.n_trials_per_point)
+    successes = sum(int(meas_rng.binomial(cfg.n_spins, p_i)) for p_i in p)
     return successes, trials
 
 

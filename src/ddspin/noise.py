@@ -36,6 +36,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.count)
 
+    def nearest_index(self, t) -> np.ndarray:
+        """Index of the sample nearest to each time t, clamped to the grid."""
+        idx = np.rint((np.asarray(t, dtype=float) - self.t0) / self.dt)
+        return np.clip(idx.astype(int), 0, self.count - 1)
+
     @property
     def duration(self) -> float:
         return self.dt * (self.count - 1)
@@ -60,9 +65,7 @@ class NoiseTrace:
     def values_at(self, t) -> np.ndarray:
         """Nearest-sample lookup (no interpolation; step << tau_c in all
         supported regimes)."""
-        idx = np.rint((np.asarray(t, dtype=float) - self.grid.t0) / self.grid.dt)
-        idx = np.clip(idx.astype(int), 0, self.grid.count - 1)
-        return self.samples[idx]
+        return self.samples[self.grid.nearest_index(t)]
 
 
 @dataclass(frozen=True)
@@ -100,17 +103,29 @@ class NoiseModel:
                 and self.dc_offset == 0.0)
 
 
+def _ou_step(model: NoiseModel, dt: float) -> tuple[float, float]:
+    """(rho, s) of one OU step of length dt: rho = e^(-dt/tau) and
+    s = sigma sqrt(1 - rho^2)."""
+    rho = math.exp(-dt / model.ou_tau_c)
+    return rho, model.ou_sigma * math.sqrt(1.0 - rho * rho)
+
+
+def _ou_draws(model: NoiseModel, count: int, rng) -> tuple[float, np.ndarray]:
+    """The draws of one OU drift of count samples: x_0 ~ N(0, sigma^2),
+    then count - 1 unit normal kicks xi_k, taken from rng in that order."""
+    x0 = model.ou_sigma * float(rng.standard_normal())
+    return x0, rng.standard_normal(count - 1)
+
+
 def _ou_drift(model: NoiseModel, grid: TimeGrid, rng) -> np.ndarray:
     """Zero-mean stationary OU drift by exact discretization:
 
         x_{k+1} = x_k e^(-dt/tau) + sigma sqrt(1 - e^(-2 dt/tau)) xi_k
 
-    with x_0 ~ N(0, sigma^2), drawn from rng in that order.
+    from the draws of _ou_draws.
     """
-    rho = math.exp(-grid.dt / model.ou_tau_c)
-    noise_scale = model.ou_sigma * math.sqrt(1.0 - rho * rho)
-    x0 = model.ou_sigma * float(rng.standard_normal())
-    kicks = rng.standard_normal(grid.count - 1)
+    rho, noise_scale = _ou_step(model, grid.dt)
+    x0, kicks = _ou_draws(model, grid.count, rng)
     drift = itertools.accumulate(kicks, lambda x, xi: x * rho + noise_scale * xi,
                                  initial=x0)
     return np.fromiter(drift, dtype=float, count=grid.count)
@@ -145,6 +160,39 @@ def delta_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
         delta = np.zeros(grid.count)
     _add_mains(delta, model, grid)
     return NoiseTrace(grid, delta + model.dc_offset)
+
+
+class WeightedPhase:
+    """The weighted sum Phi = sum_k w_k delta_k of a delta_trace sample on
+    a fixed grid, computed from the trace's own draws without building it.
+
+    The deterministic part w.(mains + dc_offset) is computed once.  The OU
+    part is linear in the draws of _ou_draws:
+
+        w.x = g_0 x_0 + s sum_{j>=1} g_j xi_j,   g_j = w_j + rho g_{j+1},
+
+    where g is the weights filtered backward through the OU recursion.
+    Calling with the seed given to delta_trace returns the same Phi as
+    delta_trace(model, grid, seed).samples @ w, up to rounding.
+    """
+
+    def __init__(self, model: NoiseModel, grid: TimeGrid, weights):
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (grid.count,):
+            raise ValueError("weights must match the grid length")
+        self.model = model
+        self.deterministic = float(w @ ac_line_trace(model, grid).samples)
+        rho, self._noise_scale = _ou_step(model, grid.dt)
+        backward = itertools.accumulate(w[::-1], lambda g, wk: wk + rho * g)
+        self._filter = np.fromiter(backward, dtype=float, count=grid.count)[::-1].copy()
+
+    def __call__(self, seed) -> float:
+        if self.model.ou_sigma == 0:
+            return self.deterministic
+        x0, kicks = _ou_draws(self.model, self._filter.size,
+                              np.random.default_rng(seed))
+        ou = self._filter[0] * x0 + self._noise_scale * float(kicks @ self._filter[1:])
+        return self.deterministic + ou
 
 
 def decay_survival(t: float, lifetime: float) -> float:

@@ -28,11 +28,12 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from ddspin.noise import NoiseTrace
+from ddspin.noise import NoiseTrace, TimeGrid
 from ddspin.sensitivity import FringeFunction
 from ddspin.spin_algebra import (
     OperatorMatrix,
     SpinSystem,
+    _check_unitary,
     build_angular_momentum_ops,
     rotation,
 )
@@ -239,6 +240,24 @@ def default_step(cfg: SequenceConfig) -> float:
     return min(cfg.t_w, math.pi / cfg.rabi_omega0) / 50.0
 
 
+def _check_coverage(grid: TimeGrid, duration: float) -> None:
+    t_end = grid.t0 + grid.duration
+    if grid.t0 > 0.0 or t_end < duration:
+        raise ValueError(
+            f"noise trace [{grid.t0}, {t_end}] does not cover the "
+            f"schedule duration [0, {duration}]"
+        )
+
+
+def _step_midpoints(t: float, duration: float, step: float
+                    ) -> tuple[np.ndarray, float]:
+    """Midpoints and width of the ceil(duration/step) equal steps of a
+    window that starts at t."""
+    n = max(1, math.ceil(duration / step))
+    h = duration / n
+    return t + (np.arange(n) + 0.5) * h, h
+
+
 def integrate_noisy(cfg: SequenceConfig, schedule: PulseSchedule,
                     noise: NoiseTrace, step: float | None = None) -> OperatorMatrix:
     """Time-stepped evolution of a schedule under a sampled detuning trace.
@@ -247,19 +266,16 @@ def integrate_noisy(cfg: SequenceConfig, schedule: PulseSchedule,
     the trace value nearest the step midpoint.  Free-evolution windows are
     diagonal, so their step product collapses to a single exponential of
     the accumulated phase; pulse windows with finite duration are stepped
-    with the full Hamiltonian.  Instantaneous pulses are exact rotations.
+    with the full Hamiltonian, and the running product is projected back
+    onto the unitaries (its polar factor) after each of them, so rounding
+    drift cannot build up over long sequences.  Instantaneous pulses are
+    exact rotations.
     """
     if step is None:
         step = default_step(cfg)
     if not step > 0:
         raise ValueError("step must be > 0")
-    duration = schedule.total_duration
-    t_end = noise.grid.t0 + (noise.grid.count - 1) * noise.grid.dt
-    if noise.grid.t0 > 0.0 or t_end < duration:
-        raise ValueError(
-            f"noise trace [{noise.grid.t0}, {t_end}] does not cover the "
-            f"schedule duration [0, {duration}]"
-        )
+    _check_coverage(noise.grid, schedule.total_duration)
     peak = float(np.max(np.abs(noise.samples))) if noise.samples.size else 0.0
     if math.isfinite(cfg.rabi_omega0) and peak > 0 \
             and cfg.rabi_omega0 < 100.0 * peak:
@@ -274,9 +290,7 @@ def integrate_noisy(cfg: SequenceConfig, schedule: PulseSchedule,
     t = 0.0
     for seg in schedule.segments:
         if isinstance(seg, FreeEvolution):
-            n = max(1, math.ceil(seg.duration / step))
-            h = seg.duration / n
-            mids = t + (np.arange(n) + 0.5) * h
+            mids, h = _step_midpoints(t, seg.duration, step)
             zeeman_phase = float(np.sum(noise.values_at(mids)) * h)
             u = (_free_diag(sys, zeeman_phase, cfg.kappa * seg.duration)[:, None]
                  * u)
@@ -287,13 +301,63 @@ def integrate_noisy(cfg: SequenceConfig, schedule: PulseSchedule,
                 continue
             omega = seg.area / seg.duration
             drive = omega * _pulse_generator(sys, seg.phase)
-            n = max(1, math.ceil(seg.duration / step))
-            h = seg.duration / n
-            mids = t + (np.arange(n) + 0.5) * h
-            deltas = noise.values_at(mids)
-            for k in range(n):
-                ham = deltas[k] * jz + cfg.kappa * jz2 + drive
-                w, v = np.linalg.eigh(ham)
-                u = (v * np.exp(1j * w * h)) @ v.conj().T @ u
+            mids, h = _step_midpoints(t, seg.duration, step)
+            hams = noise.values_at(mids)[:, None, None] * jz + cfg.kappa * jz2 + drive
+            w, v = np.linalg.eigh(hams)
+            steps = (v * np.exp(1j * w * h)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            for step_u in steps:
+                u = step_u @ u
+            _check_unitary(u)
+            a, _, bh = np.linalg.svd(u)
+            u = a @ bh
             t += seg.duration
     return OperatorMatrix(u)
+
+
+def toggling_weights(schedule: PulseSchedule, grid: TimeGrid,
+                     step: float) -> np.ndarray:
+    """Weights w on the trace grid such that the residual Zeeman phase of
+    a schedule with instantaneous pulses is Phi = sum_k w_k delta_k.
+
+    Each free window contributes its step width at the trace sample
+    nearest each step midpoint, exactly as integrate_noisy samples it,
+    times the toggling sign y = +-1, which flips at every pi pulse (a pi
+    pulse about an equatorial axis maps Jz to -Jz).  For the decoupled
+    sequence the two pi pulses of each block compose to the identity, so
+    the whole sequence is R(phi, pi/2) exp(i (Phi Jz + kappa T Jz^2))
+    R(0, pi/2); see toggling_probability.
+    """
+    if not step > 0:
+        raise ValueError("step must be > 0")
+    _check_coverage(grid, schedule.total_duration)
+    w = np.zeros(grid.count)
+    sign = 1.0
+    t = 0.0
+    for seg in schedule.segments:
+        if isinstance(seg, FreeEvolution):
+            mids, h = _step_midpoints(t, seg.duration, step)
+            w += sign * h * np.bincount(grid.nearest_index(mids), minlength=grid.count)
+            t += seg.duration
+        elif seg.duration > 0.0:
+            raise ValueError("toggling-frame weights need instantaneous pulses")
+        elif seg.area == math.pi:
+            sign = -sign
+    return w
+
+
+def toggling_probability(cfg: SequenceConfig, phases) -> np.ndarray:
+    """Survival probability of the prepared level after the decoupled
+    sequence with instantaneous pulses, for each residual Zeeman phase
+    Phi in phases: |sum_m' exp(i (Phi m' + kappa T m'^2)) c_m'|^2 with
+    c_m' = <m|R(phi, pi/2)|m'><m'|R(0, pi/2)|m>."""
+    if not cfg.instantaneous_pulses:
+        raise ValueError("toggling_probability is the instantaneous-pulse form")
+    sys = cfg.sys
+    i = sys.index_of(cfg.initial_twice_m)
+    c = rotation(sys, cfg.phi, math.pi / 2.0)[i, :] \
+        * rotation(sys, 0.0, math.pi / 2.0)[:, i]
+    m = sys.m_values
+    theta = np.multiply.outer(np.asarray(phases, dtype=float), m) \
+        + cfg.kappa * cfg.total_time * m * m
+    amp = np.exp(1j * theta) @ c
+    return amp.real ** 2 + amp.imag ** 2

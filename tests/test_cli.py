@@ -188,6 +188,22 @@ def test_simulate_seed_zero_overrides_config(tmp_path):
     assert "# master_seed = 9\n" in kept.read_text()
 
 
+def test_simulate_long_finite_pulse_sequence(tmp_path):
+    # 20 blocks of finite pulses at 2 pi x 20 kHz: the running product of
+    # ~2,000 pulse steps used to drift past the 1e-12 unitarity check
+    cfg = tmp_path / "finite.cfg"
+    cfg.write_text(RUN_CFG
+                   .replace("t_w_s = 0.25", "t_w_s = 1e-4")
+                   .replace("n_blocks = 1", "n_blocks = 20")
+                   .replace("kappa_rad_s = 0.15", "kappa_rad_s = 180")
+                   .replace("n_trials_per_point = 150", "n_trials_per_point = 2")
+                   .replace("timestamps_count = 32", "timestamps_count = 1")
+                   + "rabi_omega0_rad_s = 125663.7\n")
+    out = tmp_path / "finite.csv"
+    assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    assert "# n_blocks = 20\n" in out.read_text()
+
+
 def test_simulate_missing_config_and_bad_config(tmp_path):
     assert _run("simulate", "--config", str(tmp_path / "nope.cfg")) == 2
     bad = tmp_path / "bad.cfg"

@@ -9,6 +9,7 @@ from ddspin.noise import (
     NoiseModel,
     NoiseTrace,
     TimeGrid,
+    WeightedPhase,
     ac_line_trace,
     decay_survival,
     delta_trace,
@@ -116,6 +117,27 @@ def test_trace_addition_commutes_and_splits():
                                 line_harmonics=line_model.line_harmonics)
     combined = delta_trace(combined_model, grid, seed=5)
     assert np.allclose(combined.samples, drift + line, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    NoiseModel(ou_sigma=2 * math.pi * 200, ou_tau_c=2e-3,
+               line_harmonics=((50.0, 2 * math.pi * 300, 0.4),),
+               dc_offset=2 * math.pi * 25),
+    NoiseModel(ou_sigma=2 * math.pi * 50, ou_tau_c=1e-5),
+    NoiseModel(line_harmonics=((50.0, 2 * math.pi * 300, 0.4),)),
+])
+def test_weighted_phase_equals_the_trace_sum(model):
+    # Phi from the seed's own draws equals w.delta of the trace that
+    # delta_trace builds from the same seed; a change of the draw order
+    # in _ou_drift breaks this
+    grid = TimeGrid(0.0, 2e-6, 3001)
+    weights = np.random.default_rng(0).uniform(0.0, 2e-6, grid.count)
+    phase = WeightedPhase(model, grid, weights)
+    for seed in (1, [7, 3], np.random.SeedSequence(5, spawn_key=(1, 2))):
+        expected = delta_trace(model, grid, seed).samples @ weights
+        assert phase(seed) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValueError, match="grid length"):
+        WeightedPhase(model, grid, weights[1:])
 
 
 def test_decay_survival_values():

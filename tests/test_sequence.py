@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddspin.noise import NoiseModel, NoiseTrace, TimeGrid, sample_ou_trace
+from ddspin.noise import NoiseModel, NoiseTrace, TimeGrid, delta_trace, sample_ou_trace
 from ddspin.sequence import (
     FreeEvolution,
     Pulse,
@@ -16,10 +16,13 @@ from ddspin.sequence import (
     dd_block_segments,
     dd_block_unitary,
     dd_sequence_schedule,
+    default_step,
     fringe_grid,
     fringe_probability,
     integrate_noisy,
     sequence_unitary,
+    toggling_probability,
+    toggling_weights,
     write_fringe_grid,
 )
 from ddspin.sensitivity import fringe_period
@@ -297,6 +300,68 @@ def test_integrator_unitarity_with_noise():
     trace = sample_ou_trace(model, grid, seed=2)
     u = integrate_noisy(cfg, sched, trace).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-10
+
+
+def test_integrator_finite_pulses_stay_unitary_over_100_blocks():
+    cfg = SequenceConfig(S72, 100e-6, 100, 180.0, math.pi, 1,
+                         rabi_omega0=2 * math.pi * 20e3)
+    sched = dd_sequence_schedule(cfg)
+    u = integrate_noisy(cfg, sched, _zero_trace(sched.total_duration)).matrix
+    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-14
+
+
+def _toggling_case(sys, twice_m, n_blocks):
+    cfg = SequenceConfig(sys, 120e-6, n_blocks, 2 * math.pi * 35, 0.9, twice_m)
+    sched = dd_sequence_schedule(cfg)
+    step = default_step(cfg)
+    grid = TimeGrid(0.0, step, int(math.ceil(sched.total_duration / step)) + 2)
+    return cfg, sched, step, grid
+
+
+TOGGLING_NOISE = NoiseModel(
+    ou_sigma=2 * math.pi * 200, ou_tau_c=2e-3,
+    line_harmonics=((50.0, 2 * math.pi * 300, 0.4), (150.0, 2 * math.pi * 60, 1.2)),
+    dc_offset=2 * math.pi * 25)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 20, 55])
+def test_toggling_frame_matches_integrator(n_blocks):
+    # with instantaneous pulses the toggling-frame phase Phi = w.delta
+    # reproduces the stepped integrator on the same trace
+    for twice_j in (1, 2, 7, 12):
+        sys = SpinSystem(twice_j)
+        for twice_m in sys.twice_m_values:
+            cfg, sched, step, grid = _toggling_case(sys, twice_m, n_blocks)
+            trace = delta_trace(TOGGLING_NOISE, grid,
+                                seed=[twice_j, twice_m + twice_j, n_blocks])
+            w = toggling_weights(sched, grid, step)
+            p = toggling_probability(cfg, [trace.samples @ w])[0]
+            u = integrate_noisy(cfg, sched, trace, step).matrix
+            i = sys.index_of(twice_m)
+            assert abs(p - abs(u[i, i]) ** 2) <= 1e-12
+
+
+def test_toggling_weights_sign_and_validation():
+    cfg, sched, step, grid = _toggling_case(S72, 1, 2)
+    w = toggling_weights(sched, grid, step)
+    # the toggling sign is +, -, + over the three windows of a block, so a
+    # constant detuning cancels
+    assert abs(w.sum()) <= 1e-15
+    phase = (grid.times() / cfg.t_w) % 4.0
+    inner = (w != 0) & (np.abs(phase - 1.0) > 0.1) & (np.abs(phase - 3.0) > 0.1)
+    expected = np.where((phase < 1.0) | (phase > 3.0), 1.0, -1.0)
+    assert inner.sum() > 0
+    assert np.array_equal(np.sign(w[inner]), expected[inner])
+    short = TimeGrid(0.0, step, 10)
+    with pytest.raises(ValueError, match="does not cover"):
+        toggling_weights(sched, short, step)
+    with pytest.raises(ValueError, match="step"):
+        toggling_weights(sched, grid, 0.0)
+    finite = dd_sequence_schedule(_cfg(omega0=2 * math.pi * 50e3))
+    with pytest.raises(ValueError, match="instantaneous"):
+        toggling_weights(finite, _zero_trace(finite.total_duration).grid, step)
+    with pytest.raises(ValueError, match="instantaneous"):
+        toggling_probability(_cfg(omega0=2 * math.pi * 50e3), [0.0])
 
 
 def test_slow_noise_is_cancelled_better():
