@@ -82,10 +82,6 @@ def _open_out(path: str | None):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "kv"), default=None,
-                        help="output style where both apply")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> _Parser:
@@ -132,6 +128,10 @@ def build_parser() -> _Parser:
     p_sens.add_argument("--compare-entangled", action="store_true",
                         help="append the entangled-register benchmark")
     _add_common(p_sens)
+    for p in (p_table, p_sens):
+        p.add_argument("--format", choices=("csv", "kv"), default=None,
+                       help="output style (default: csv for table, kv for "
+                            "sensitivity)")
 
     p_sim = sub.add_parser("simulate", help="run a simulated measurement record")
     p_sim.add_argument("--config", required=True, help="run configuration file")

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import IO, Iterable
+from types import SimpleNamespace
+from typing import IO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -343,99 +344,215 @@ def parse_angle(text: str) -> float:
 
 
 def parse_frequency(token: str) -> float:
-    """An angular frequency in rad/s, by name or number."""
+    """An angular frequency in rad/s, by name or finite number."""
     name = token.strip().lower()
     if name in _FREQUENCY_TOKENS:
         return _FREQUENCY_TOKENS[name]
-    return float(token)
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is neither a finite frequency in rad/s nor "
+                         f"one of {', '.join(_FREQUENCY_TOKENS)}")
+    return value
+
+
+class _Codec(NamedTuple):
+    decode: Callable[[str], object]
+    encode: Callable[[object], str]
+
+
+def _number(read: Callable[[str], object], ok: Callable[[object], bool],
+            what: str, scale: float = 1) -> _Codec:
+    """A number that must satisfy ok, stored as scale times the text's
+    value.  Integers echo exactly, floats as .17g of value / scale."""
+    def decode(text: str):
+        value = read(text)
+        if not ok(value):
+            raise ValueError(f"{text!r} is not {what}")
+        return scale * value
+    return _Codec(decode, lambda value: str(value) if isinstance(value, int)
+                  else f"{value / scale:.17g}")
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0", "yes", "no"):
+        raise ValueError(f"{text!r} is not one of true/false/1/0/yes/no")
+    return text.lower() in ("true", "1", "yes")
+
+
+def _triples(*parts: _Codec) -> _Codec:
+    """Comma-separated a:b:c items, one codec per part."""
+    def decode(text: str) -> tuple:
+        items = [item.split(":") for item in text.split(",")] if text else []
+        if any(len(item) != 3 for item in items):
+            raise ValueError(f"{text!r} is not a list of a:b:c triples")
+        return tuple(tuple(c.decode(x) for c, x in zip(parts, item)) for item in items)
+    return _Codec(decode, lambda value: ",".join(
+        ":".join(c.encode(x) for c, x in zip(parts, item)) for item in value))
+
+
+_FINITE = _number(float, math.isfinite, "a finite number")
+_POSITIVE = _number(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_POSITIVE_OR_INF = _number(float, lambda x: x > 0, "> 0 (inf allowed)")
+_HZ = _number(float, math.isfinite, "a finite number", _TWO_PI)
+_HZ_NONNEGATIVE = _number(float, lambda x: 0 <= x < math.inf,
+                          "a finite number >= 0", _TWO_PI)
+_ANGLE = _number(parse_angle, math.isfinite, "a finite angle")
+_COUNT = _number(int, lambda n: n >= 1, "an integer >= 1")
+
+_REQUIRED = object()   # the key must be given
+_DERIVED = object()    # echo-only: checked against the parsed config if given
+
+
+class ConfigField(NamedTuple):
+    """One run-configuration key.  path is a RunConfig attribute, or
+    group.attribute for a group in _GROUPS; check(value, group_values)
+    validates a value against the keys of its group decoded before it."""
+
+    key: str
+    path: str
+    codec: _Codec
+    default: object = _REQUIRED
+    check: Callable[[object, dict], object] | None = None
+
+
+def _timestamps(times=None, start=None, step=None, count=None) -> tuple[float, ...]:
+    if times is not None and (start, step, count) == (None, None, None):
+        return times
+    if times is None and None not in (start, step, count):
+        return tuple(start + step * k for k in range(count))
+    raise ValueError("the schedule needs either a timestamps list or all of "
+                     "timestamps_start_s, timestamps_step_s and timestamps_count")
+
+
+def _timestamp_view(times: tuple[float, ...]) -> SimpleNamespace:
+    """The echoed schedule: start, step and count when start + step*k
+    reproduces every timestamp bit for bit (compared as int64 so that the
+    sign of zero counts), else the list."""
+    t = np.array(times)
+    step = t[1] - t[0] if t.size > 1 else 0.0
+    rebuilt = t[0] + step * np.arange(t.size)
+    if np.array_equal(rebuilt.view(np.int64), t.view(np.int64)):
+        return SimpleNamespace(start=times[0], step=float(step), count=t.size, n=t.size)
+    return SimpleNamespace(times=times, n=t.size)
+
+
+def _noise(**kwargs) -> NoiseModel | None:
+    model = NoiseModel(**kwargs)
+    return None if model.is_quiet else model
+
+
+def _injected(**kwargs) -> SiderealModel | None:
+    model = SiderealModel(**kwargs)
+    return model if model.harmonics or model.kappa_static else None
+
+
+# Each group builds one RunConfig attribute from its keys' values.
+_GROUPS = {"sequence": SequenceConfig, "timestamps": _timestamps,
+           "noise": _noise, "injected": _injected}
+
+# The run-configuration format, in echo order.  The echo omits a value of
+# None or () and every key of a group that is None.
+CONFIG_FIELDS = (
+    ConfigField("j", "sequence.sys", _Codec(lambda text: SpinSystem(as_twice(text)),
+                                            lambda sys: f"{sys.twice_j}/2")),
+    ConfigField("initial_m", "sequence.initial_twice_m",
+                _Codec(as_twice, lambda twice: f"{twice}/2"),
+                check=lambda twice_m, seq: seq["sys"].index_of(twice_m)),
+    ConfigField("t_w_s", "sequence.t_w", _POSITIVE),
+    ConfigField("n_blocks", "sequence.n_blocks", _COUNT),
+    ConfigField("kappa_rad_s", "sequence.kappa", _FINITE),
+    ConfigField("phi_rad", "sequence.phi", _ANGLE),
+    ConfigField("rabi_omega0_rad_s", "sequence.rabi_omega0", _POSITIVE_OR_INF, math.inf),
+    ConfigField("ramsey_time_s", "sequence.total_time", _POSITIVE, _DERIVED),
+    ConfigField("n_spins", "n_spins", _COUNT),
+    ConfigField("n_trials_per_point", "n_trials_per_point", _COUNT),
+    ConfigField("lifetime_s", "lifetime", _POSITIVE_OR_INF, math.inf),
+    ConfigField("master_seed", "master_seed", _number(int, lambda n: n >= 0,
+                                                      "an integer >= 0")),
+    ConfigField("correlate_noise", "correlate_noise",
+                _Codec(_bool, lambda flag: str(flag).lower()), False),
+    ConfigField("timestamps_start_s", "timestamps.start", _FINITE, None),
+    ConfigField("timestamps_step_s", "timestamps.step", _FINITE, None),
+    ConfigField("timestamps_count", "timestamps.count", _COUNT, None),
+    ConfigField("timestamps", "timestamps.times", _Codec(
+        lambda text: tuple(map(_FINITE.decode, text.split(","))),
+        lambda times: ",".join(map(_FINITE.encode, times))), None),
+    ConfigField("n_points", "timestamps.n", _COUNT, _DERIVED),
+    ConfigField("step_s", "step", _POSITIVE, None),
+    ConfigField("ou_sigma_hz", "noise.ou_sigma", _HZ_NONNEGATIVE, 0.0),
+    ConfigField("ou_tau_c_s", "noise.ou_tau_c", _POSITIVE, 1.0),
+    ConfigField("dc_offset_hz", "noise.dc_offset", _HZ, 0.0),
+    ConfigField("line_harmonics", "noise.line_harmonics",
+                _triples(_POSITIVE, _HZ_NONNEGATIVE, _ANGLE), ()),
+    ConfigField("inject_kappa_static_rad_s", "injected.kappa_static", _FINITE, 0.0),
+    ConfigField("inject_harmonics", "injected.harmonics",
+                _triples(_Codec(parse_frequency, _FINITE.encode), _FINITE, _FINITE), ()),
+    ConfigField("inject_epoch_s", "injected.t0", _FINITE, 0.0),
+)
+
+
+def _echo_values(cfg: RunConfig) -> list:
+    """Each field's value in cfg, in table order; None or () is not echoed."""
+    views = {"": cfg, "sequence": cfg.sequence, "noise": cfg.noise,
+             "injected": cfg.injected, "timestamps": _timestamp_view(cfg.timestamps)}
+    return [getattr(views[group], attr, None)
+            for group, _, attr in (f.path.rpartition(".") for f in CONFIG_FIELDS)]
 
 
 def parse_run_config(lines: Iterable[str], source: str = "<config>") -> RunConfig:
-    """Parse the key-value run configuration format (see README)."""
-    entries: dict[str, str] = {}
+    """Parse the run-configuration format of CONFIG_FIELDS (see README).
+    Every error names the source, and the line and key where there is one."""
+    given: dict[str, tuple[int, str]] = {}
+    keys = [field.key for field in CONFIG_FIELDS]
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ValueError(f"{source}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-
-    def pop(key: str, default=None) -> str | None:
-        return entries.pop(key, default)
-
-    required = ("j", "initial_m", "t_w_s", "n_blocks", "kappa_rad_s",
-                "phi_rad", "n_spins", "n_trials_per_point", "master_seed")
-    missing = [k for k in required if k not in entries]
+        if key not in keys:
+            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in given:
+            raise ValueError(f"{source}:{lineno}: {key} given twice "
+                             f"(first on line {given[key][0]})")
+        given[key] = (lineno, text)
+    missing = [f.key for f in CONFIG_FIELDS
+               if f.default is _REQUIRED and f.key not in given]
     if missing:
         raise ValueError(f"{source}: missing required keys: {', '.join(missing)}")
 
-    sys = SpinSystem(as_twice(pop("j")))
-    sequence = SequenceConfig(
-        sys=sys,
-        t_w=float(pop("t_w_s")),
-        n_blocks=int(pop("n_blocks")),
-        kappa=float(pop("kappa_rad_s")),
-        phi=parse_angle(pop("phi_rad")),
-        initial_twice_m=as_twice(pop("initial_m")),
-        rabi_omega0=float(pop("rabi_omega0_rad_s", "inf")),
-    )
-
-    harmonics = []
-    line_text = pop("line_harmonics", "")
-    if line_text:
-        for triple in line_text.split(","):
-            freq_hz, amp_hz, phase = triple.split(":")
-            harmonics.append((float(freq_hz), _TWO_PI * float(amp_hz),
-                              parse_angle(phase)))
-    noise = NoiseModel(
-        ou_sigma=_TWO_PI * float(pop("ou_sigma_hz", "0")),
-        ou_tau_c=float(pop("ou_tau_c_s", "1")),
-        line_harmonics=tuple(harmonics),
-        dc_offset=_TWO_PI * float(pop("dc_offset_hz", "0")),
-    )
-
-    if "timestamps" in entries:
-        timestamps = tuple(float(x) for x in pop("timestamps").split(","))
-    else:
-        for key in ("timestamps_start_s", "timestamps_step_s", "timestamps_count"):
-            if key not in entries:
-                raise ValueError(f"{source}: missing {key} (or a 'timestamps' list)")
-        start = float(pop("timestamps_start_s"))
-        step = float(pop("timestamps_step_s"))
-        count = int(pop("timestamps_count"))
-        timestamps = tuple(start + step * k for k in range(count))
-
-    injected = None
-    inject_harm_text = pop("inject_harmonics", "")
-    inject_static = float(pop("inject_kappa_static_rad_s", "0"))
-    inject_epoch = float(pop("inject_epoch_s", "0"))
-    if inject_harm_text or inject_static:
-        inj_harmonics = []
-        if inject_harm_text:
-            for triple in inject_harm_text.split(","):
-                omega, a_cos, b_sin = triple.split(":")
-                inj_harmonics.append((parse_frequency(omega), float(a_cos),
-                                      float(b_sin)))
-        injected = SiderealModel(kappa_static=inject_static,
-                                 harmonics=tuple(inj_harmonics),
-                                 t0=inject_epoch)
-
-    cfg = RunConfig(
-        sequence=sequence,
-        noise=None if noise.is_quiet else noise,
-        n_spins=int(pop("n_spins")),
-        n_trials_per_point=int(pop("n_trials_per_point")),
-        timestamps=timestamps,
-        master_seed=int(pop("master_seed")),
-        lifetime=float(pop("lifetime_s", "inf")),
-        injected=injected,
-        correlate_noise=pop("correlate_noise", "false").lower() in ("1", "true", "yes"),
-        step=(float(entries.pop("step_s")) if "step_s" in entries else None),
-    )
-    if entries:
-        raise ValueError(f"{source}: unknown keys: {', '.join(sorted(entries))}")
+    values: dict[str, dict] = {name: {} for name in ("", *_GROUPS)}
+    stated = {}
+    for field in CONFIG_FIELDS:
+        group, _, attr = field.path.rpartition(".")
+        if field.key not in given:
+            if field.default is not None and field.default is not _DERIVED:
+                values[group][attr] = field.default
+            continue
+        lineno, text = given[field.key]
+        try:
+            value = field.codec.decode(text)
+            if field.check is not None:
+                field.check(value, values[group])
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{source}:{lineno}: {field.key}: {exc}") from None
+        if field.default is _DERIVED:
+            stated[field.key] = value
+        else:
+            values[group][attr] = value
+    try:
+        cfg = RunConfig(**values[""], **{
+            name: build(**values[name]) for name, build in _GROUPS.items()})
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    for key, value in zip(keys, _echo_values(cfg)):
+        if key in stated and not math.isclose(stated[key], value, rel_tol=1e-12):
+            raise ValueError(f"{source}:{given[key][0]}: {key}: {stated[key]!r} "
+                             f"does not match the configuration's {value!r}")
     return cfg
 
 
@@ -445,42 +562,11 @@ def load_run_config(path) -> RunConfig:
 
 
 def config_echo_lines(cfg: RunConfig) -> list[str]:
-    """The resolved configuration as 'key = value' lines for file headers."""
-    seq = cfg.sequence
-    lines = [
-        f"j = {seq.sys.twice_j}/2",
-        f"initial_m = {seq.initial_twice_m}/2",
-        f"t_w_s = {seq.t_w:.17g}",
-        f"n_blocks = {seq.n_blocks}",
-        f"kappa_rad_s = {seq.kappa:.17g}",
-        f"phi_rad = {seq.phi:.17g}",
-        f"rabi_omega0_rad_s = {seq.rabi_omega0:.17g}",
-        f"ramsey_time_s = {seq.total_time:.17g}",
-        f"n_spins = {cfg.n_spins}",
-        f"n_trials_per_point = {cfg.n_trials_per_point}",
-        f"lifetime_s = {cfg.lifetime:.17g}",
-        f"master_seed = {cfg.master_seed}",
-        f"correlate_noise = {str(cfg.correlate_noise).lower()}",
-        f"n_points = {len(cfg.timestamps)}",
-    ]
-    if cfg.step is not None:
-        lines.append(f"step_s = {cfg.step:.17g}")
-    if cfg.noise is not None:
-        lines.append(f"ou_sigma_hz = {cfg.noise.ou_sigma / _TWO_PI:.17g}")
-        lines.append(f"ou_tau_c_s = {cfg.noise.ou_tau_c:.17g}")
-        lines.append(f"dc_offset_hz = {cfg.noise.dc_offset / _TWO_PI:.17g}")
-        if cfg.noise.line_harmonics:
-            triples = ",".join(f"{f:.17g}:{a / _TWO_PI:.17g}:{p:.17g}"
-                               for f, a, p in cfg.noise.line_harmonics)
-            lines.append(f"line_harmonics = {triples}")
-    if cfg.injected is not None:
-        lines.append(f"inject_kappa_static_rad_s = {cfg.injected.kappa_static:.17g}")
-        if cfg.injected.harmonics:
-            triples = ",".join(f"{w:.17g}:{a:.17g}:{b:.17g}"
-                               for w, a, b in cfg.injected.harmonics)
-            lines.append(f"inject_harmonics = {triples}")
-        lines.append(f"inject_epoch_s = {cfg.injected.t0:.17g}")
-    return lines
+    """The resolved configuration as 'key = value' lines for file headers;
+    parse_run_config reads them back to an equal RunConfig."""
+    return [f"{field.key} = {field.codec.encode(value)}"
+            for field, value in zip(CONFIG_FIELDS, _echo_values(cfg))
+            if value is not None and value != ()]
 
 
 def write_record(out: IO[str], record: MeasurementRecord,

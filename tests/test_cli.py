@@ -70,6 +70,9 @@ def test_fringe_slice_marks_working_point(tmp_path):
 
 def test_fringe_usage_errors():
     assert _run("fringe", "--J", "7/2", "--m", "-7/2", "--kt-points", "0") == 1
+    # fringe reads neither an output format nor a thread count
+    assert _run("fringe", "--J", "7/2", "--m", "-7/2", "--format", "kv") == 1
+    assert _run("fringe", "--J", "7/2", "--m", "-7/2", "--threads", "8") == 1
     assert _run("fringe", "--J", "7/2") == 1          # missing --m
     assert _run("fringe", "--J", "7/3", "--m", "1/2") == 1
 
@@ -161,14 +164,44 @@ def test_simulate_round_trip_and_determinism(tmp_path):
     assert np.allclose(kappa, record.valid()[1], rtol=1e-15)
 
 
-def test_simulate_output_independent_of_threads(tmp_path):
+def test_simulate_reruns_from_its_own_header(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(RUN_CFG)
-    outs = [tmp_path / f"threads{n}.csv" for n in (1, 4)]
-    for n, out in zip((1, 4), outs):
-        assert _run("simulate", "--config", str(cfg), "--threads", str(n),
-                    "--out", str(out)) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    cfg.write_text(RUN_CFG.replace("n_blocks = 1", "n_blocks = 2")
+                   .replace("kappa_rad_s = 0.15", "kappa_rad_s = 0.075")
+                   + "ou_sigma_hz = 0.01\ndc_offset_hz = 0.02\n"
+                   "line_harmonics = 50:0.01:0.3\nlifetime_s = 20\n"
+                   "correlate_noise = yes\n"
+                   "inject_harmonics = sidereal-day:0.01:0.002\n")
+    first = tmp_path / "first.csv"
+    assert _run("simulate", "--config", str(cfg), "--seed", "4", "--out", str(first)) == 0
+    rebuilt = tmp_path / "rebuilt.cfg"
+    rebuilt.write_text("".join(
+        line[2:] for line in first.read_text().splitlines(keepends=True)
+        if line.startswith("# ")
+        and not line.startswith(("# command =", "# wrapped_excluded ="))))
+    second = tmp_path / "second.csv"
+    assert _run("simulate", "--config", str(rebuilt), "--out", str(second)) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [
+    "timestamps_step_s = nan", "correlate_noise = ture", "step_s = 0",
+    "n_blocks = 2.5", "t_w_s = abc"])
+def test_simulate_bad_value_names_path_line_and_key(tmp_path, capsys, bad):
+    key = bad.partition(" = ")[0]
+    lines = [line for line in RUN_CFG.splitlines()
+             if not line.startswith(key + " =")] + [bad]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"{cfg}:{len(lines)}: {key}: " in capsys.readouterr().err
+
+
+def test_simulate_repeated_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(RUN_CFG + "n_spins = 2\n")
+    assert _run("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"{cfg}:14: n_spins given twice (first on line 8)" in capsys.readouterr().err
 
 
 def test_simulate_seed_zero_overrides_config(tmp_path):
@@ -248,6 +281,16 @@ def test_fit_rejects_non_finite_rows(tmp_path, capsys):
         rec.write_text("t,kappa,sigma\n" + good + bad_row + "\n180000.0,1.0,0.1\n")
         assert _run("fit", "--record", str(rec), "--species", "Yb+") == 2
         assert f"{rec}:6:" in capsys.readouterr().err
+
+
+def test_fit_unknown_frequency_lists_the_tokens(tmp_path, capsys):
+    rec = tmp_path / "rec.csv"
+    rec.write_text("0.0,1.0,0.1\n1.0,1.0,0.1\n2.0,1.1,0.1\n90000.0,1.0,0.1\n")
+    for token in ("sidereal_day", "nan"):
+        assert _run("fit", "--record", str(rec), "--frequencies", token) == 2
+        err = capsys.readouterr().err
+        assert f"'{token}'" in err
+        assert "sidereal-day, sidereal-half-day, annual, solar-day" in err
 
 
 def test_fit_unknown_species(tmp_path):

@@ -1,8 +1,12 @@
 import io
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddspin.experiment import (
     FringeWrapError,
@@ -196,8 +200,6 @@ def test_run_experiment_with_noise_and_injection():
 
 
 def test_correlated_noise_option():
-    from dataclasses import replace
-
     noise = NoiseModel(ou_sigma=2 * math.pi * 400.0, ou_tau_c=0.05)
     seq = SequenceConfig(S72, 2e-4, 1, REPORT.chi_m / 8e-4, math.pi, 1)
     base = RunConfig(seq, noise, n_spins=1, n_trials_per_point=6,
@@ -323,7 +325,7 @@ def test_parse_run_config_rejects_unknown_and_missing():
     with pytest.raises(ValueError, match="missing required"):
         parse_run_config(["j = 7/2"])
     bad = CONFIG_TEXT + "\nmystery_key = 3\n"
-    with pytest.raises(ValueError, match="unknown keys: mystery_key"):
+    with pytest.raises(ValueError, match="<config>:22: unknown key 'mystery_key'"):
         parse_run_config(bad.splitlines())
 
 
@@ -331,14 +333,69 @@ def test_config_echo_round_trips(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG_TEXT)
     cfg = load_run_config(path)
-    echoed = config_echo_lines(cfg)
-    # the echo is itself a loadable configuration
-    echo_cfg = parse_run_config(
-        [line for line in echoed
-         if not line.startswith(("ramsey_time_s", "n_points"))]
-        + [f"timestamps = {','.join(str(t) for t in cfg.timestamps)}"])
-    assert echo_cfg.sequence == cfg.sequence
-    assert echo_cfg.noise == cfg.noise
-    assert echo_cfg.injected == cfg.injected
-    assert echo_cfg.correlate_noise == cfg.correlate_noise
-    assert echo_cfg.lifetime == cfg.lifetime
+    assert parse_run_config(config_echo_lines(cfg)) == cfg
+
+
+_FINITE = st.floats(-1e9, 1e9)
+_POSITIVE = st.floats(1e-9, 1e9)
+
+
+def _triples(first, second, third):
+    return st.lists(st.tuples(first, second, third), max_size=3).map(
+        lambda ts: ", ".join(f"{a}:{b!r}:{c!r}" for a, b, c in ts))
+
+
+@st.composite
+def _config_texts(draw):
+    twice_j = draw(st.integers(1, 12))
+    lines = [
+        f"j = {twice_j}/2",
+        f"initial_m = {draw(st.sampled_from(range(-twice_j, twice_j + 1, 2)))}/2",
+        f"t_w_s = {draw(_POSITIVE)!r}",
+        f"n_blocks = {draw(st.integers(1, 100))}",
+        f"kappa_rad_s = {draw(_FINITE)!r}",
+        f"phi_rad = {draw(st.sampled_from(['pi', '-pi/2', '0.25pi', '1.5']))}",
+        f"n_spins = {draw(st.integers(1, 100))}",
+        f"n_trials_per_point = {draw(st.integers(1, 1000))}",
+        f"master_seed = {draw(st.integers(0, 2**64))}",
+        f"correlate_noise = {draw(st.sampled_from(['true', 'no', '1', 'FALSE']))}",
+    ]
+    optional = {
+        "rabi_omega0_rad_s": st.floats(1e3, 1e9).map(repr),
+        "lifetime_s": _POSITIVE.map(repr),
+        "step_s": _POSITIVE.map(repr),
+        "ou_sigma_hz": st.floats(0, 1e6).map(repr),
+        "ou_tau_c_s": _POSITIVE.map(repr),
+        "dc_offset_hz": _FINITE.map(repr),
+        "line_harmonics": _triples(_POSITIVE.map(repr), st.floats(0, 1e6),
+                                   st.floats(-7, 7)),
+        "inject_kappa_static_rad_s": _FINITE.map(repr),
+        "inject_harmonics": _triples(
+            st.sampled_from(["sidereal-day", "annual", "7.3e-05"]), _FINITE, _FINITE),
+        "inject_epoch_s": _FINITE.map(repr),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(optional)))):
+        lines.append(f"{key} = {draw(optional[key])}")
+    if draw(st.booleans()):
+        lines += [f"timestamps_start_s = {draw(_FINITE)!r}",
+                  f"timestamps_step_s = {draw(st.floats(-1e5, 1e5))!r}",
+                  f"timestamps_count = {draw(st.integers(1, 50))}"]
+    else:
+        times = draw(st.lists(_FINITE, min_size=1, max_size=10))
+        lines.append(f"timestamps = {', '.join(map(repr, times))}")
+    return draw(st.permutations(lines))
+
+
+@given(lines=_config_texts(), sigma_rad_s=st.floats(1e-3, 1e4))
+@settings(max_examples=50, deadline=None)
+def test_echo_round_trips_every_parsed_config(lines, sigma_rad_s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # slow finite pulses warn; not under test
+        cfg = parse_run_config(lines)
+        assert parse_run_config(config_echo_lines(cfg)) == cfg
+        # A config built in the library may hold rad/s values that no Hz
+        # value reproduces; its echo is a fixed point after one parse.
+        library = replace(cfg, noise=NoiseModel(
+            ou_sigma=sigma_rad_s, line_harmonics=((50.0, sigma_rad_s, 0.0),)))
+        once = parse_run_config(config_echo_lines(library))
+        assert parse_run_config(config_echo_lines(once)) == once
