@@ -1,8 +1,9 @@
 """Command-line surface: fringe, table, sensitivity, simulate, fit.
 
 Every subcommand is a thin composition over the library; outputs carry a
-'#'-prefixed header echoing the resolved configuration and seed.  Exit
-codes: 0 success, 1 usage error, 2 numerical/validation error.
+'#'-prefixed header echoing the resolved configuration; only simulate
+draws, takes --seed and echoes one.  Exit codes: 0 success, 1 usage
+error, 2 numerical/validation error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ddspin.spin_algebra import (
     SpinSystem,
     as_twice,
     default_species_table,
+    require,
     tensor_kappa,
     load_species_file,
     tensor_level_shift,
@@ -56,18 +58,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _half_integer(text: str) -> int:
-    try:
-        return as_twice(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg_type(read):
+    """An argparse type: read(text), its error reported under the option."""
+    def convert(text: str):
+        try:
+            return read(text)
+        except (ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
-def _angle(text: str) -> float:
-    try:
-        return parse_angle(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_half_integer = _arg_type(as_twice)
+_count = _arg_type(lambda text: require("value", int(text), "an integer >= 1"))
+_number = _arg_type(lambda text: require("value", float(text)))
+_positive = _arg_type(lambda text: require("value", float(text), "finite and > 0"))
+_angle = _arg_type(lambda text: require("value", parse_angle(text)))
+_confidence = _arg_type(lambda text: require("confidence", float(text), "in [0, 1)"))
+
+
+@_arg_type
+def _slice_phi(text: str) -> float:
+    key, _, value = text.partition("=")
+    if key.strip() != "phi" or not value:
+        raise ValueError("expected phi=ANGLE")
+    return _angle(value)
 
 
 @contextmanager
@@ -77,11 +91,6 @@ def _open_out(path: str | None):
     else:
         with open(path, "w") as fh:
             yield fh
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> _Parser:
@@ -98,36 +107,33 @@ def build_parser() -> _Parser:
                           help="prepared m level, e.g. -7/2")
     p_fringe.add_argument("--kt-min", type=_angle, default="0")
     p_fringe.add_argument("--kt-max", type=_angle, default="pi")
-    p_fringe.add_argument("--kt-points", type=int, default=65)
+    p_fringe.add_argument("--kt-points", type=_count, default=65)
     p_fringe.add_argument("--phi-min", type=_angle, default="0")
     p_fringe.add_argument("--phi-max", type=_angle, default="2pi",
                           help="exclusive upper edge of the phi axis")
-    p_fringe.add_argument("--phi-points", type=int, default=64)
-    p_fringe.add_argument("--slice", dest="slice_spec", default=None,
+    p_fringe.add_argument("--phi-points", type=_count, default=64)
+    p_fringe.add_argument("--slice", dest="slice_phi", type=_slice_phi, default=None,
                           metavar="phi=ANGLE",
                           help="emit a 1-D fringe at fixed phi and mark the "
                                "steepest point")
-    _add_common(p_fringe)
 
     p_table = sub.add_parser("table", help="per-species shift table")
     p_table.add_argument("--species-file", default=None,
                          help="species table path (default: shipped table)")
-    p_table.add_argument("--coefficient", type=float, default=1.0,
+    p_table.add_argument("--coefficient", type=_number, default=1.0,
                          help="tensor coefficient scale")
-    _add_common(p_table)
 
     p_sens = sub.add_parser("sensitivity", help="working points and shift resolution")
     p_sens.add_argument("--J", type=_half_integer, required=True)
     p_sens.add_argument("--m", required=True,
                         help="comma list of m levels, e.g. 1/2,3/2,5/2,7/2")
     p_sens.add_argument("--phi", type=_angle, default="pi")
-    p_sens.add_argument("--N", type=int, default=1, help="number of spin probes")
-    p_sens.add_argument("--tau", type=float, default=1.0,
+    p_sens.add_argument("--N", type=_count, default=1, help="number of spin probes")
+    p_sens.add_argument("--tau", type=_positive, default=1.0,
                         help="total measurement time, s")
-    p_sens.add_argument("--T", type=float, default=1.0, help="Ramsey time, s")
+    p_sens.add_argument("--T", type=_positive, default=1.0, help="Ramsey time, s")
     p_sens.add_argument("--compare-entangled", action="store_true",
                         help="append the entangled-register benchmark")
-    _add_common(p_sens)
     for p in (p_table, p_sens):
         p.add_argument("--format", choices=("csv", "kv"), default=None,
                        help="output style (default: csv for table, kv for "
@@ -135,9 +141,8 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run a simulated measurement record")
     p_sim.add_argument("--config", required=True, help="run configuration file")
-    _add_common(p_sim)
-    # Unset means "keep the config's master_seed", so an explicit 0 overrides.
-    p_sim.set_defaults(seed=None)
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="master seed (u64); overrides the config's master_seed")
 
     p_fit = sub.add_parser("fit", help="harmonic amplitudes and coefficient bound")
     p_fit.add_argument("--record", required=True,
@@ -148,22 +153,18 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--species", default=None,
                        help="species label from the table (enables the bound)")
     p_fit.add_argument("--species-file", default=None)
-    p_fit.add_argument("--confidence", type=float, default=0.95)
-    p_fit.add_argument("--epoch", type=float, default=0.0,
+    p_fit.add_argument("--confidence", type=_confidence, default=0.95)
+    p_fit.add_argument("--epoch", type=_number, default=0.0,
                        help="fit epoch t0, UTC seconds")
-    _add_common(p_fit)
+    for p in (p_fringe, p_table, p_sens, p_sim, p_fit):
+        p.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
 def _cmd_fringe(args) -> int:
     sys = SpinSystem(args.J)
-    if args.kt_points < 1 or args.phi_points < 1:
-        raise SystemExit(_usage("grid sizes must be >= 1"))
-    if args.slice_spec is not None:
-        key, _, value = args.slice_spec.partition("=")
-        if key.strip() != "phi" or not value:
-            raise SystemExit(_usage("--slice expects phi=ANGLE"))
-        phi = parse_angle(value)
+    if args.slice_phi is not None:
+        phi = args.slice_phi
         kt_axis = np.linspace(args.kt_min, args.kt_max, args.kt_points)
         report = optimal_working_point(sys, args.m, phi)
         fringe = FringeFunction(sys, args.m, phi)
@@ -171,7 +172,6 @@ def _cmd_fringe(args) -> int:
         with _open_out(args.out) as out:
             out.write(f"# command = fringe --slice phi={phi:.17g}\n")
             out.write(f"# J = {args.J}/2, m = {args.m}/2\n")
-            out.write(f"# seed = {args.seed}\n")
             out.write(f"# chi_m_rad = {report.chi_m:.17g}\n")
             out.write(f"# p_at_chi_m = {fringe(report.chi_m):.17g}\n")
             out.write("kappaT_rad,probability\n")
@@ -185,7 +185,6 @@ def _cmd_fringe(args) -> int:
     header = [
         "command = fringe",
         f"J = {args.J}/2, m = {args.m}/2",
-        f"seed = {args.seed}",
     ]
     with _open_out(args.out) as out:
         write_fringe_grid(out, kt_axis, phi_axis, grid, header)
@@ -211,7 +210,6 @@ def _cmd_table(args) -> int:
     with _open_out(args.out) as out:
         out.write("# command = table\n")
         out.write(f"# coefficient = {args.coefficient:.17g}\n")
-        out.write(f"# seed = {args.seed}\n")
         if args.format == "kv":
             for sp, shift, kappa_cycles in rows:
                 out.write(f"label = {sp.label}\n")
@@ -229,10 +227,6 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    if args.N < 1:
-        raise SystemExit(_usage("--N must be >= 1"))
-    if args.tau <= 0 or args.T <= 0:
-        raise SystemExit(_usage("--tau and --T must be > 0"))
     sys = SpinSystem(args.J)
     twice_ms = [as_twice(tok) for tok in args.m.split(",")]
     reports = [optimal_working_point(sys, tm, args.phi) for tm in twice_ms]
@@ -245,7 +239,6 @@ def _cmd_sensitivity(args) -> int:
         out.write("# command = sensitivity\n")
         out.write(f"# J = {args.J}/2, phi = {args.phi:.17g}\n")
         out.write(f"# N = {args.N}, tau = {args.tau:.17g}, T = {args.T:.17g}\n")
-        out.write(f"# seed = {args.seed}\n")
         if args.format == "csv":
             out.write("twice_m,chi_m_rad,delta_kappa_coeff_rad,"
                       "delta_kappa_rad_per_s\n")
@@ -297,14 +290,8 @@ def _cmd_fit(args) -> int:
         out.write("# command = fit\n")
         out.write(f"# record = {args.record}\n")
         out.write(f"# confidence = {args.confidence:.17g}\n")
-        out.write(f"# seed = {args.seed}\n")
         write_fit_report(out, fit, bounds, label)
     return 0
-
-
-def _usage(message: str) -> int:
-    _sys.stderr.write(f"ddspin: error: {message}\n")
-    return USAGE_ERROR
 
 
 _COMMANDS = {
@@ -324,8 +311,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (ValueError, ArithmeticError, OSError) as exc:
         _sys.stderr.write(f"ddspin {args.command}: {exc}\n")
         return VALIDATION_ERROR

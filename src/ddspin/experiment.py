@@ -46,7 +46,7 @@ from ddspin.sidereal import (
     SiderealModel,
     kappa_timeseries,
 )
-from ddspin.spin_algebra import SpinSystem, as_twice
+from ddspin.spin_algebra import FieldError, SpinSystem, as_twice, require
 
 
 class FringeWrapError(ValueError):
@@ -61,7 +61,9 @@ class RunConfig:
     of n_spins independent probes; total measurement time per point is
     n_trials * T.  `injected` adds a time-dependent component on top of the
     static sequence kappa.  lifetime scales the fringe contrast toward the
-    uniform baseline (math.inf disables decay).
+    uniform baseline (math.inf disables decay).  Rules: n_spins and
+    n_trials_per_point integers >= 1, master_seed an integer >= 0,
+    timestamps non-empty and finite, lifetime > 0, step None or finite > 0.
     """
 
     sequence: SequenceConfig
@@ -76,16 +78,17 @@ class RunConfig:
     step: float | None = None
 
     def __post_init__(self):
-        if self.n_spins < 1:
-            raise ValueError("n_spins must be >= 1")
-        if self.n_trials_per_point < 1:
-            raise ValueError("n_trials_per_point must be >= 1")
-        if not self.lifetime > 0:
-            raise ValueError("lifetime must be > 0")
+        require("n_spins", self.n_spins, "an integer >= 1")
+        require("n_trials_per_point", self.n_trials_per_point, "an integer >= 1")
+        require("master_seed", self.master_seed, "an integer >= 0")
+        require("lifetime", self.lifetime, "> 0 (inf allowed)")
+        if self.step is not None:
+            require("step", self.step, "finite and > 0")
         object.__setattr__(self, "timestamps",
                            tuple(float(t) for t in self.timestamps))
-        if not self.timestamps:
-            raise ValueError("timestamps must be non-empty")
+        require("timestamps", self.timestamps, "non-empty")
+        for t in self.timestamps:
+            require("timestamps", t)
 
     @property
     def tau_per_point(self) -> float:
@@ -363,16 +366,11 @@ class _Codec(NamedTuple):
     encode: Callable[[object], str]
 
 
-def _number(read: Callable[[str], object], ok: Callable[[object], bool],
-            what: str, scale: float = 1) -> _Codec:
-    """A number that must satisfy ok, stored as scale times the text's
-    value.  Integers echo exactly, floats as .17g of value / scale."""
-    def decode(text: str):
-        value = read(text)
-        if not ok(value):
-            raise ValueError(f"{text!r} is not {what}")
-        return scale * value
-    return _Codec(decode, lambda value: str(value) if isinstance(value, int)
+def _number(read: Callable[[str], object], scale: float = 1) -> _Codec:
+    """A number read from text, stored as scale times its value.  Integers
+    echo exactly, floats as .17g of value / scale."""
+    return _Codec(lambda text: scale * read(text),
+                  lambda value: str(value) if isinstance(value, int)
                   else f"{value / scale:.17g}")
 
 
@@ -393,14 +391,10 @@ def _triples(*parts: _Codec) -> _Codec:
         ":".join(c.encode(x) for c, x in zip(parts, item)) for item in value))
 
 
-_FINITE = _number(float, math.isfinite, "a finite number")
-_POSITIVE = _number(float, lambda x: 0 < x < math.inf, "a finite number > 0")
-_POSITIVE_OR_INF = _number(float, lambda x: x > 0, "> 0 (inf allowed)")
-_HZ = _number(float, math.isfinite, "a finite number", _TWO_PI)
-_HZ_NONNEGATIVE = _number(float, lambda x: 0 <= x < math.inf,
-                          "a finite number >= 0", _TWO_PI)
-_ANGLE = _number(parse_angle, math.isfinite, "a finite angle")
-_COUNT = _number(int, lambda n: n >= 1, "an integer >= 1")
+_FLOAT = _number(float)
+_HZ = _number(float, _TWO_PI)
+_ANGLE = _number(parse_angle)
+_INT = _number(int)
 
 _REQUIRED = object()   # the key must be given
 _DERIVED = object()    # echo-only: checked against the parsed config if given
@@ -408,20 +402,22 @@ _DERIVED = object()    # echo-only: checked against the parsed config if given
 
 class ConfigField(NamedTuple):
     """One run-configuration key.  path is a RunConfig attribute, or
-    group.attribute for a group in _GROUPS; check(value, group_values)
-    validates a value against the keys of its group decoded before it."""
+    group.attribute for a group in _GROUPS; the codec only reads text."""
 
     key: str
     path: str
     codec: _Codec
     default: object = _REQUIRED
-    check: Callable[[object, dict], object] | None = None
 
 
 def _timestamps(times=None, start=None, step=None, count=None) -> tuple[float, ...]:
     if times is not None and (start, step, count) == (None, None, None):
         return times
     if times is None and None not in (start, step, count):
+        # The schedule's own parameters, so that an error names its key.
+        require("start", start)
+        require("step", step)
+        require("count", count, "an integer >= 1")
         return tuple(start + step * k for k in range(count))
     raise ValueError("the schedule needs either a timestamps list or all of "
                      "timestamps_start_s, timestamps_step_s and timestamps_count")
@@ -459,38 +455,36 @@ CONFIG_FIELDS = (
     ConfigField("j", "sequence.sys", _Codec(lambda text: SpinSystem(as_twice(text)),
                                             lambda sys: f"{sys.twice_j}/2")),
     ConfigField("initial_m", "sequence.initial_twice_m",
-                _Codec(as_twice, lambda twice: f"{twice}/2"),
-                check=lambda twice_m, seq: seq["sys"].index_of(twice_m)),
-    ConfigField("t_w_s", "sequence.t_w", _POSITIVE),
-    ConfigField("n_blocks", "sequence.n_blocks", _COUNT),
-    ConfigField("kappa_rad_s", "sequence.kappa", _FINITE),
+                _Codec(as_twice, lambda twice: f"{twice}/2")),
+    ConfigField("t_w_s", "sequence.t_w", _FLOAT),
+    ConfigField("n_blocks", "sequence.n_blocks", _INT),
+    ConfigField("kappa_rad_s", "sequence.kappa", _FLOAT),
     ConfigField("phi_rad", "sequence.phi", _ANGLE),
-    ConfigField("rabi_omega0_rad_s", "sequence.rabi_omega0", _POSITIVE_OR_INF, math.inf),
-    ConfigField("ramsey_time_s", "sequence.total_time", _POSITIVE, _DERIVED),
-    ConfigField("n_spins", "n_spins", _COUNT),
-    ConfigField("n_trials_per_point", "n_trials_per_point", _COUNT),
-    ConfigField("lifetime_s", "lifetime", _POSITIVE_OR_INF, math.inf),
-    ConfigField("master_seed", "master_seed", _number(int, lambda n: n >= 0,
-                                                      "an integer >= 0")),
+    ConfigField("rabi_omega0_rad_s", "sequence.rabi_omega0", _FLOAT, math.inf),
+    ConfigField("ramsey_time_s", "sequence.total_time", _FLOAT, _DERIVED),
+    ConfigField("n_spins", "n_spins", _INT),
+    ConfigField("n_trials_per_point", "n_trials_per_point", _INT),
+    ConfigField("lifetime_s", "lifetime", _FLOAT, math.inf),
+    ConfigField("master_seed", "master_seed", _INT),
     ConfigField("correlate_noise", "correlate_noise",
                 _Codec(_bool, lambda flag: str(flag).lower()), False),
-    ConfigField("timestamps_start_s", "timestamps.start", _FINITE, None),
-    ConfigField("timestamps_step_s", "timestamps.step", _FINITE, None),
-    ConfigField("timestamps_count", "timestamps.count", _COUNT, None),
+    ConfigField("timestamps_start_s", "timestamps.start", _FLOAT, None),
+    ConfigField("timestamps_step_s", "timestamps.step", _FLOAT, None),
+    ConfigField("timestamps_count", "timestamps.count", _INT, None),
     ConfigField("timestamps", "timestamps.times", _Codec(
-        lambda text: tuple(map(_FINITE.decode, text.split(","))),
-        lambda times: ",".join(map(_FINITE.encode, times))), None),
-    ConfigField("n_points", "timestamps.n", _COUNT, _DERIVED),
-    ConfigField("step_s", "step", _POSITIVE, None),
-    ConfigField("ou_sigma_hz", "noise.ou_sigma", _HZ_NONNEGATIVE, 0.0),
-    ConfigField("ou_tau_c_s", "noise.ou_tau_c", _POSITIVE, 1.0),
+        lambda text: tuple(map(float, text.split(","))),
+        lambda times: ",".join(map(_FLOAT.encode, times))), None),
+    ConfigField("n_points", "timestamps.n", _INT, _DERIVED),
+    ConfigField("step_s", "step", _FLOAT, None),
+    ConfigField("ou_sigma_hz", "noise.ou_sigma", _HZ, 0.0),
+    ConfigField("ou_tau_c_s", "noise.ou_tau_c", _FLOAT, 1.0),
     ConfigField("dc_offset_hz", "noise.dc_offset", _HZ, 0.0),
     ConfigField("line_harmonics", "noise.line_harmonics",
-                _triples(_POSITIVE, _HZ_NONNEGATIVE, _ANGLE), ()),
-    ConfigField("inject_kappa_static_rad_s", "injected.kappa_static", _FINITE, 0.0),
+                _triples(_FLOAT, _HZ, _ANGLE), ()),
+    ConfigField("inject_kappa_static_rad_s", "injected.kappa_static", _FLOAT, 0.0),
     ConfigField("inject_harmonics", "injected.harmonics",
-                _triples(_Codec(parse_frequency, _FINITE.encode), _FINITE, _FINITE), ()),
-    ConfigField("inject_epoch_s", "injected.t0", _FINITE, 0.0),
+                _triples(_Codec(parse_frequency, _FLOAT.encode), _FLOAT, _FLOAT), ()),
+    ConfigField("inject_epoch_s", "injected.t0", _FLOAT, 0.0),
 )
 
 
@@ -536,19 +530,25 @@ def parse_run_config(lines: Iterable[str], source: str = "<config>") -> RunConfi
         lineno, text = given[field.key]
         try:
             value = field.codec.decode(text)
-            if field.check is not None:
-                field.check(value, values[group])
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{source}:{lineno}: {field.key}: {exc}") from None
         if field.default is _DERIVED:
             stated[field.key] = value
         else:
             values[group][attr] = value
-    try:
-        cfg = RunConfig(**values[""], **{
-            name: build(**values[name]) for name, build in _GROUPS.items()})
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    # Build each group into a RunConfig argument; the last build is the
+    # RunConfig.  An attribute built from several keys (the schedule) is
+    # reported at the first of them that is given.
+    for group, build in (*_GROUPS.items(), ("", RunConfig)):
+        try:
+            cfg = values[""][group] = build(**values[group])
+        except FieldError as exc:
+            path = f"{group}.{exc.attribute}".lstrip(".")
+            key = next(f.key for f in CONFIG_FIELDS if f.key in given
+                       and (f.path + ".").startswith(path + "."))
+            raise ValueError(f"{source}:{given[key][0]}: {key}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     for key, value in zip(keys, _echo_values(cfg)):
         if key in stated and not math.isclose(stated[key], value, rel_tol=1e-12):
             raise ValueError(f"{source}:{given[key][0]}: {key}: {stated[key]!r} "

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ddspin.spin_algebra import require
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -28,10 +30,8 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        require("dt", self.dt, "finite and > 0")
+        require("count", self.count, "an integer >= 1")
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.count)
@@ -72,10 +72,10 @@ class NoiseTrace:
 class NoiseModel:
     """Drift + mains model of the detuning.
 
-    ou_sigma: stationary standard deviation of the drift, rad/s.
-    ou_tau_c: drift correlation time, s.
-    line_harmonics: (frequency_hz, amplitude_rad_s, phase_rad) triples.
-    dc_offset: constant detuning, rad/s.
+    ou_sigma: stationary standard deviation of the drift, rad/s, >= 0.
+    ou_tau_c: drift correlation time, s, > 0.
+    line_harmonics: (frequency_hz > 0, amplitude_rad_s >= 0, phase_rad) triples.
+    dc_offset: constant detuning, rad/s.  Every value is finite.
     """
 
     ou_sigma: float = 0.0
@@ -84,17 +84,15 @@ class NoiseModel:
     dc_offset: float = 0.0
 
     def __post_init__(self):
-        if not self.ou_tau_c > 0:
-            raise ValueError("ou_tau_c must be > 0")
-        if self.ou_sigma < 0:
-            raise ValueError("ou_sigma must be >= 0")
+        require("ou_sigma", self.ou_sigma, "finite and >= 0")
+        require("ou_tau_c", self.ou_tau_c, "finite and > 0")
+        require("dc_offset", self.dc_offset)
         harmonics = tuple((float(f), float(a), float(p))
                           for f, a, p in self.line_harmonics)
-        for freq, amp, _ in harmonics:
-            if freq <= 0:
-                raise ValueError("line frequencies must be > 0")
-            if amp < 0:
-                raise ValueError("line amplitudes must be >= 0")
+        for freq, amp, phase in harmonics:
+            require("line_harmonics", freq, "finite and > 0")
+            require("line_harmonics", amp, "finite and >= 0")
+            require("line_harmonics", phase)
         object.__setattr__(self, "line_harmonics", harmonics)
 
     @property
@@ -138,13 +136,6 @@ def _add_mains(delta: np.ndarray, model: NoiseModel, grid: TimeGrid) -> None:
         delta += amp * np.sin(2.0 * math.pi * freq * t + phase)
 
 
-def sample_ou_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
-    """Stationary OU drift around dc_offset (see _ou_drift).  Identical
-    (seed, grid, model) always gives the identical trace."""
-    drift = _ou_drift(model, grid, np.random.default_rng(seed))
-    return NoiseTrace(grid, drift + model.dc_offset)
-
-
 def ac_line_trace(model: NoiseModel, grid: TimeGrid) -> NoiseTrace:
     """Deterministic mains pickup: dc_offset + sum of a*sin(2 pi f t + p)."""
     delta = np.full(grid.count, model.dc_offset)
@@ -153,7 +144,8 @@ def ac_line_trace(model: NoiseModel, grid: TimeGrid) -> NoiseTrace:
 
 
 def delta_trace(model: NoiseModel, grid: TimeGrid, seed) -> NoiseTrace:
-    """Full detuning trace: zero-mean OU drift + mains + one dc_offset."""
+    """Full detuning trace: zero-mean OU drift + mains + one dc_offset.
+    Identical (seed, grid, model) always gives the identical trace."""
     if model.ou_sigma > 0:
         delta = _ou_drift(model, grid, np.random.default_rng(seed))
     else:

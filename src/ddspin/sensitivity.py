@@ -23,7 +23,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from ddspin.spin_algebra import SpinSystem, rotation
+from ddspin.spin_algebra import SpinSystem, require, rotation
 
 
 def fringe_period(sys: SpinSystem) -> float:
@@ -139,8 +139,7 @@ class SensitivityReport:
     assumptions: str
 
     def __post_init__(self):
-        if not self.delta_kappa_coeff > 0:
-            raise ValueError("delta_kappa_coeff must be > 0")
+        require("delta_kappa_coeff", self.delta_kappa_coeff, "finite and > 0")
 
 
 def delta_kappa(f: float, slope: float, n_probes: int, tau: float,

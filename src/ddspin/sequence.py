@@ -31,10 +31,12 @@ import numpy as np
 from ddspin.noise import NoiseTrace, TimeGrid
 from ddspin.sensitivity import FringeFunction
 from ddspin.spin_algebra import (
+    FieldError,
     OperatorMatrix,
     SpinSystem,
     _check_unitary,
     build_angular_momentum_ops,
+    require,
     rotation,
 )
 
@@ -45,6 +47,8 @@ class SequenceConfig:
 
     rabi_omega0 = math.inf selects instantaneous pulses.  initial_twice_m
     is the prepared (and detected) m level, as a twice-value integer.
+    Rules: t_w finite and > 0, n_blocks an integer >= 1, kappa and phi
+    finite, initial_twice_m a level of sys, rabi_omega0 > 0 (inf allowed).
     """
 
     sys: SpinSystem
@@ -56,14 +60,14 @@ class SequenceConfig:
     rabi_omega0: float = math.inf
 
     def __post_init__(self):
-        if not self.t_w > 0:
-            raise ValueError("t_w must be > 0")
-        if not isinstance(self.n_blocks, int) or self.n_blocks < 1:
-            raise ValueError("n_blocks must be an integer >= 1 "
-                             "(a bare Ramsey sequence is one block with kappa folded)")
-        self.sys.index_of(self.initial_twice_m)
-        if not self.rabi_omega0 > 0:
-            raise ValueError("rabi_omega0 must be > 0 (math.inf for instantaneous)")
+        require("t_w", self.t_w, "finite and > 0")
+        require("n_blocks", self.n_blocks, "an integer >= 1")
+        require("kappa", self.kappa)
+        require("phi", self.phi)
+        if self.initial_twice_m not in self.sys.twice_m_values:
+            raise FieldError("initial_twice_m", f"initial_twice_m = {self.initial_twice_m!r} "
+                             f"is not a level of J = {self.sys.twice_j}/2")
+        require("rabi_omega0", self.rabi_omega0, "> 0 (inf allowed)")
         if math.isfinite(self.rabi_omega0) and self.kappa != 0 \
                 and self.rabi_omega0 < 100.0 * abs(self.kappa):
             warnings.warn("rabi_omega0 is less than 100x |kappa|; finite-pulse "
@@ -84,8 +88,7 @@ class FreeEvolution:
     duration: float
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("free-evolution duration must be > 0")
+        require("duration", self.duration, "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ class Pulse:
     def __post_init__(self):
         if not 0.0 < self.area <= 2.0 * math.pi:
             raise ValueError("pulse area must be in (0, 2*pi]")
-        if self.duration < 0:
-            raise ValueError("pulse duration must be >= 0")
+        require("duration", self.duration, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,7 @@ class PulseSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise ValueError("schedule must contain at least one segment")
+        require("segments", self.segments, "non-empty")
 
     @property
     def total_duration(self) -> float:

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ddspin.spin_algebra import IonSpecies, tensor_kappa
+from ddspin.spin_algebra import IonSpecies, require, tensor_kappa
 
 SIDEREAL_DAY_S = 86164.0905
 SOLAR_DAY_S = 86400.0
@@ -33,17 +33,13 @@ OMEGA_ANNUAL = 2.0 * math.pi / SIDEREAL_YEAR_S
 OMEGA_SOLAR_DAY = 2.0 * math.pi / SOLAR_DAY_S
 
 
-def default_frequencies() -> tuple[float, float, float]:
-    """Rotation frequency, its first harmonic, and the annual line."""
-    return (OMEGA_SIDEREAL_DAY, OMEGA_SIDEREAL_HALF_DAY, OMEGA_ANNUAL)
-
-
 @dataclass(frozen=True)
 class SiderealModel:
     """kappa(t) = kappa_static + sum_k [A_k cos w_k (t-t0) + B_k sin w_k (t-t0)].
 
     harmonics: (omega_rad_s, cos_amplitude_rad_s, sin_amplitude_rad_s).
     t0: epoch in UTC seconds.
+    Rules: kappa_static, t0 and every harmonic value finite.
     """
 
     kappa_static: float = 0.0
@@ -51,9 +47,12 @@ class SiderealModel:
     t0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "harmonics",
-            tuple((float(w), float(a), float(b)) for w, a, b in self.harmonics))
+        require("kappa_static", self.kappa_static)
+        require("t0", self.t0)
+        harmonics = tuple((float(w), float(a), float(b)) for w, a, b in self.harmonics)
+        for value in sum(harmonics, ()):
+            require("harmonics", value)
+        object.__setattr__(self, "harmonics", harmonics)
 
 
 def kappa_timeseries(model: SiderealModel, timestamps):
@@ -85,8 +84,7 @@ class HarmonicFit:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dof < 1:
-            raise ValueError("fit must have at least one degree of freedom")
+        require("dof", self.dof, "an integer >= 1")
         cov = np.asarray(self.covariance, dtype=float)
         if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
             raise ValueError("covariance must be symmetric")
@@ -181,9 +179,7 @@ def bound_tensor_coefficient(fit: HarmonicFit, species: IonSpecies,
     tensor_kappa(species, 1); z is the two-sided Gaussian quantile, so
     confidence 0 gives 0.
     """
-    if not 0.0 <= confidence < 1.0:
-        raise ValueError("confidence must be in [0, 1)")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + require("confidence", confidence, "in [0, 1)") / 2.0)
     per_unit = tensor_kappa(species, 1.0)
     return np.array([z * fit.quadrature_sigma(k) / per_unit
                      for k in range(len(fit.frequencies))])

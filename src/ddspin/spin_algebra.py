@@ -54,7 +54,7 @@ def as_twice(value: int | float | str | Fraction) -> int:
                 frac = Fraction(int(num), int(den))
             else:
                 return as_twice(float(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"cannot parse half-integer from {value!r}") from exc
     else:
         raise TypeError(f"cannot interpret {type(value).__name__} as half-integer")
@@ -73,6 +73,34 @@ def _require_twice_int(name: str, value) -> int:
     return int(value)
 
 
+class FieldError(ValueError):
+    """A value that breaks its rule; attribute names the field it is for."""
+
+    def __init__(self, attribute: str, message: str):
+        super().__init__(message)
+        self.attribute = attribute
+
+
+# The range rules of values, by the words an error uses.
+_RULES = {
+    "finite": math.isfinite,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+    "non-empty": lambda values: len(values) > 0,
+    "finite and > 0": lambda x: 0 < x < math.inf,
+    "finite and >= 0": lambda x: 0 <= x < math.inf,
+    "> 0 (inf allowed)": lambda x: x > 0,
+    "an integer >= 1": lambda n: isinstance(n, (int, np.integer)) and n >= 1,
+    "an integer >= 0": lambda n: isinstance(n, (int, np.integer)) and n >= 0,
+}
+
+
+def require(attribute: str, value, rule: str = "finite"):
+    """value, if it obeys the rule of _RULES, else a FieldError naming attribute."""
+    if not _RULES[rule](value):
+        raise FieldError(attribute, f"{attribute} must be {rule}, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """A spin-J multiplet, J given as a twice-value integer >= 1."""
@@ -81,8 +109,7 @@ class SpinSystem:
 
     def __post_init__(self):
         _require_twice_int("twice_j", self.twice_j)
-        if self.twice_j < 1:
-            raise ValueError("twice_j must be >= 1 (dim = 2J+1 >= 2)")
+        require("twice_j", self.twice_j, "an integer >= 1")
 
     @property
     def j(self) -> float:
@@ -212,8 +239,7 @@ class IonSpecies:
         _require_twice_int("twice_j", self.twice_j)
         if self.twice_j < 2:
             raise ValueError("species must have J >= 1 (rank-2 selection rule)")
-        if not math.isfinite(self.reduced_me_au) or self.reduced_me_au < 0:
-            raise ValueError("reduced_me_au must be finite and >= 0")
+        require("reduced_me_au", self.reduced_me_au, "finite and >= 0")
 
     @property
     def system(self) -> SpinSystem:

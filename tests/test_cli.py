@@ -134,7 +134,6 @@ def test_sensitivity_csv_output(tmp_path):
     expected = ["# command = sensitivity",
                 f"# J = 7/2, phi = {math.pi:.17g}",
                 "# N = 3, tau = 7, T = 0.5",
-                "# seed = 0",
                 "twice_m,chi_m_rad,delta_kappa_coeff_rad,delta_kappa_rad_per_s"]
     for tm in (1, 7):
         report = optimal_working_point(SpinSystem(7), tm, math.pi)
@@ -221,6 +220,14 @@ def test_simulate_seed_zero_overrides_config(tmp_path):
     assert "# master_seed = 9\n" in kept.read_text()
 
 
+def test_simulate_negative_seed_names_master_seed(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    assert _run("simulate", "--config", str(cfg), "--seed", "-1",
+                "--out", str(tmp_path / "o")) == 2
+    assert "master_seed" in capsys.readouterr().err
+
+
 def test_simulate_long_finite_pulse_sequence(tmp_path):
     # 20 blocks of finite pulses at 2 pi x 20 kHz: the running product of
     # ~2,000 pulse steps used to drift past the 1e-12 unitarity check
@@ -298,3 +305,34 @@ def test_fit_unknown_species(tmp_path):
     rec.write_text("0.0,1.0,0.1\n1.0,1.0,0.1\n2.0,1.1,0.1\n"
                    "90000.0,1.0,0.1\n180000.0,1.0,0.1\n")
     assert _run("fit", "--record", str(rec), "--species", "Unobtainium") == 2
+
+
+_SMALL_RECORD = "0.0,1.0,0.1\n1.0,1.0,0.1\n2.0,1.1,0.1\n90000.0,1.0,0.1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sensitivity", "--J", "7/2", "--m", "1/2", "--T", "inf"),
+    ("sensitivity", "--J", "7/2", "--m", "1/2", "--tau", "nan"),
+    ("table", "--coefficient", "nan"),
+    ("fit", "--record", "rec.csv", "--epoch", "nan"),
+    ("fringe", "--J", "1/2", "--m", "1/2", "--kt-min", "nan"),
+    ("fit", "--record", "rec.csv", "--confidence", "2"),
+    ("fringe", "--m", "1/2", "--J", "inf"),
+    ("fringe", "--J", "1/2", "--m", "1/2", "--slice", "phi=nan"),
+])
+def test_non_finite_or_out_of_range_option_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.csv").write_text(_SMALL_RECORD)
+    assert _run(*argv, "--out", "out.txt") == 1
+    assert f"argument {argv[-2]}: " in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fringe", "--J", "1/2", "--m", "1/2"), ("table",),
+    ("sensitivity", "--J", "1/2", "--m", "1/2"), ("fit", "--record", "rec.csv")])
+def test_only_simulate_takes_a_seed(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rec.csv").write_text(_SMALL_RECORD)
+    assert _run(*argv, "--seed", "5", "--out", "out.txt") == 1

@@ -336,6 +336,80 @@ def test_config_echo_round_trips(tmp_path):
     assert parse_run_config(config_echo_lines(cfg)) == cfg
 
 
+NAN, INF = math.nan, math.inf
+ALL = (NAN, INF, -INF, 0, -1)
+_LINE, _HARMONIC = (50.0, 1.0, 0.0), (1e-5, 1.0, 0.0)
+
+
+def _in_triple(k, good):
+    return lambda v: (good[:k] + (v,) + good[k + 1:],)
+
+
+# Each field a config key sets: its path in a RunConfig, the key, the
+# field value that holds v (v itself if None), and the v among nan, +-inf,
+# 0 and -1 that the rule of the field rejects.
+_FIELD_RULES = [
+    ("sequence.initial_twice_m", "initial_m", None, (NAN, INF, -INF, 0)),
+    ("sequence.t_w", "t_w_s", None, ALL),
+    ("sequence.n_blocks", "n_blocks", None, ALL),
+    ("sequence.kappa", "kappa_rad_s", None, (NAN, INF, -INF)),
+    ("sequence.phi", "phi_rad", None, (NAN, INF, -INF)),
+    ("sequence.rabi_omega0", "rabi_omega0_rad_s", None, (NAN, -INF, 0, -1)),
+    ("n_spins", "n_spins", None, ALL),
+    ("n_trials_per_point", "n_trials_per_point", None, ALL),
+    ("lifetime", "lifetime_s", None, (NAN, -INF, 0, -1)),
+    ("master_seed", "master_seed", None, (NAN, INF, -INF, -1)),
+    ("timestamps", "timestamps", lambda v: (v,), (NAN, INF, -INF)),
+    ("step", "step_s", None, ALL),
+    ("noise.ou_sigma", "ou_sigma_hz", None, (NAN, INF, -INF, -1)),
+    ("noise.ou_tau_c", "ou_tau_c_s", None, ALL),
+    ("noise.dc_offset", "dc_offset_hz", None, (NAN, INF, -INF)),
+    ("noise.line_harmonics", "line_harmonics", _in_triple(0, _LINE), ALL),
+    ("noise.line_harmonics", "line_harmonics", _in_triple(1, _LINE), (NAN, INF, -INF, -1)),
+    ("noise.line_harmonics", "line_harmonics", _in_triple(2, _LINE), (NAN, INF, -INF)),
+    ("injected.kappa_static", "inject_kappa_static_rad_s", None, (NAN, INF, -INF)),
+    ("injected.harmonics", "inject_harmonics", _in_triple(0, _HARMONIC), (NAN, INF, -INF)),
+    ("injected.harmonics", "inject_harmonics", _in_triple(1, _HARMONIC), (NAN, INF, -INF)),
+    ("injected.harmonics", "inject_harmonics", _in_triple(2, _HARMONIC), (NAN, INF, -INF)),
+    ("injected.t0", "inject_epoch_s", None, (NAN, INF, -INF)),
+    # The schedule's own keys: no dataclass field holds them.
+    ("timestamps.start", "timestamps_start_s", None, (NAN, INF, -INF)),
+    ("timestamps.step", "timestamps_step_s", None, (NAN, INF, -INF)),
+    ("timestamps.count", "timestamps_count", None, ALL),
+]
+_REJECTED = [(path, key, hold or (lambda v: v), v)
+             for path, key, hold, values in _FIELD_RULES for v in values]
+_BASE_TEXT = CONFIG_TEXT + "step_s = 1e-3\n"
+_BASE = parse_run_config(_BASE_TEXT.splitlines())
+
+
+def _config_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(":".join(map(repr, v)) if isinstance(v, tuple) else repr(v)
+                        for v in value)
+    return repr(value)
+
+
+@pytest.mark.parametrize("path,key,hold,v", _REJECTED,
+                         ids=[f"{key}={v}" for _, key, _, v in _REJECTED])
+def test_a_bad_field_fails_where_it_is_built(path, key, hold, v):
+    group, _, attr = path.rpartition(".")
+    if group != "timestamps":
+        with pytest.raises(ValueError, match=attr) as err:
+            replace(getattr(_BASE, group) if group else _BASE, **{attr: hold(v)})
+        assert err.value.attribute == attr
+    drop = ("timestamps_",) if key == "timestamps" else (f"{key} =",)
+    lines = [line for line in _BASE_TEXT.splitlines() if not line.startswith(drop)]
+    lines.append(f"{key} = {_config_text(hold(v))}")
+    with pytest.raises(ValueError, match=f"^<config>:{len(lines)}: {key}: "):
+        parse_run_config(lines)
+
+
+def test_noisy_zero_step_fails_when_built():
+    with pytest.raises(ValueError, match="step"):
+        RunConfig(_sequence(), NoiseModel(ou_sigma=100.0), 1, 1, (0.0,), 0, step=0.0)
+
+
 _FINITE = st.floats(-1e9, 1e9)
 _POSITIVE = st.floats(1e-9, 1e9)
 

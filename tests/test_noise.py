@@ -13,7 +13,6 @@ from ddspin.noise import (
     ac_line_trace,
     decay_survival,
     delta_trace,
-    sample_ou_trace,
 )
 
 
@@ -43,12 +42,12 @@ def test_trace_validation_and_lookup():
 def test_ou_sampler_reproducible_and_degenerate():
     model = NoiseModel(ou_sigma=2 * math.pi * 100, ou_tau_c=0.01, dc_offset=3.0)
     grid = TimeGrid(0.0, 1e-4, 500)
-    a = sample_ou_trace(model, grid, seed=123)
-    b = sample_ou_trace(model, grid, seed=123)
+    a = delta_trace(model, grid, seed=123)
+    b = delta_trace(model, grid, seed=123)
     assert np.array_equal(a.samples, b.samples)
-    c = sample_ou_trace(model, grid, seed=124)
+    c = delta_trace(model, grid, seed=124)
     assert not np.array_equal(a.samples, c.samples)
-    quiet = sample_ou_trace(NoiseModel(ou_sigma=0.0, dc_offset=3.0), grid, seed=1)
+    quiet = delta_trace(NoiseModel(ou_sigma=0.0, dc_offset=3.0), grid, seed=1)
     assert np.all(quiet.samples == 3.0)
 
 
@@ -60,7 +59,7 @@ def test_ou_stationary_moments():
     dt = 1e-3  # one correlation time per step: fast decorrelation
     n = 10 ** 6
     model = NoiseModel(ou_sigma=sigma, ou_tau_c=tau_c)
-    trace = sample_ou_trace(model, TimeGrid(0.0, dt, n), seed=777)
+    trace = delta_trace(model, TimeGrid(0.0, dt, n), seed=777)
     rho = math.exp(-dt / tau_c)
     n_eff = n * (1 - rho) / (1 + rho)
     sample_var = np.var(trace.samples)
@@ -73,8 +72,8 @@ def test_ou_lag_one_autocorrelation():
     tau_c = 5e-3
     dt = 1e-3
     n = 10 ** 6
-    trace = sample_ou_trace(NoiseModel(ou_sigma=sigma, ou_tau_c=tau_c),
-                            TimeGrid(0.0, dt, n), seed=2024)
+    trace = delta_trace(NoiseModel(ou_sigma=sigma, ou_tau_c=tau_c),
+                        TimeGrid(0.0, dt, n), seed=2024)
     x = trace.samples
     rho_hat = np.mean(x[:-1] * x[1:]) / np.mean(x * x)
     rho = math.exp(-dt / tau_c)
@@ -111,7 +110,7 @@ def test_trace_addition_commutes_and_splits():
     grid = TimeGrid(0.0, 1e-4, 256)
     drift_model = NoiseModel(ou_sigma=5.0, ou_tau_c=0.01, dc_offset=2.0)
     line_model = NoiseModel(line_harmonics=((50.0, 3.0, 0.0),))
-    drift = sample_ou_trace(drift_model, grid, seed=5).samples
+    drift = delta_trace(drift_model, grid, seed=5).samples
     line = ac_line_trace(line_model, grid).samples
     combined_model = NoiseModel(ou_sigma=5.0, ou_tau_c=0.01, dc_offset=2.0,
                                 line_harmonics=line_model.line_harmonics)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddspin.noise import NoiseModel, NoiseTrace, TimeGrid, delta_trace, sample_ou_trace
+from ddspin.noise import NoiseModel, NoiseTrace, TimeGrid, delta_trace
 from ddspin.sequence import (
     FreeEvolution,
     Pulse,
@@ -297,7 +297,7 @@ def test_integrator_unitarity_with_noise():
     sched = dd_sequence_schedule(cfg)
     model = NoiseModel(ou_sigma=2 * math.pi * 250, ou_tau_c=0.05)
     grid = TimeGrid(0.0, 2e-6, int(math.ceil(sched.total_duration / 2e-6)) + 2)
-    trace = sample_ou_trace(model, grid, seed=2)
+    trace = delta_trace(model, grid, seed=2)
     u = integrate_noisy(cfg, sched, trace).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-10
 
@@ -377,7 +377,7 @@ def test_slow_noise_is_cancelled_better():
         phases = []
         for seed in range(150):
             grid = TimeGrid(0.0, 2e-6, int(math.ceil(4 * t_w / 2e-6)) + 2)
-            trace = sample_ou_trace(model, grid, seed=seed)
+            trace = delta_trace(model, grid, seed=seed)
             u = integrate_noisy(cfg, block, trace).matrix
             # relative phase between the stretch states, 7 * residual phase
             phases.append(np.angle(u[i1, i1] / u[i0, i0]))

@@ -14,7 +14,6 @@ from ddspin.sidereal import (
     SOLAR_DAY_S,
     SiderealModel,
     bound_tensor_coefficient,
-    default_frequencies,
     fit_harmonics,
     kappa_timeseries,
     read_kappa_record,
@@ -26,7 +25,7 @@ YB = IonSpecies("Yb+", 69, "4f^13 6s^2", 7, 135.0)
 
 
 def test_default_frequencies():
-    day, half_day, annual = default_frequencies()
+    day, half_day, annual = OMEGA_SIDEREAL_DAY, OMEGA_SIDEREAL_HALF_DAY, OMEGA_ANNUAL
     assert day == pytest.approx(2 * math.pi / 86164.0905, rel=1e-12)
     assert half_day == pytest.approx(2 * day)
     assert annual == pytest.approx(2 * math.pi / (365.25636 * 86400), rel=1e-12)
